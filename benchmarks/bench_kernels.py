@@ -411,6 +411,7 @@ def run_transport_study(spec, repeats: int = 2):
                         row["equivalent"] and got == expected
                     )
             finally:
+                evaluator.close()
                 if evaluator._arena is not None:
                     evaluator._arena.close()
             row[f"{transport}_s"] = best

@@ -195,6 +195,10 @@ class GraphRunner:
     campaign spans/ledger events -- the legacy thin wrappers disable it
     to keep their observable output byte-identical to the bespoke
     loops they replaced.
+
+    :meth:`close` (or the ``with`` block) joins the worker pool of an
+    engine the runner built from ``parallel=int|True``; an engine the
+    caller passed in is the caller's to close.
     """
 
     def __init__(
@@ -207,10 +211,21 @@ class GraphRunner:
         observe: bool = True,
     ) -> None:
         self.engine = make_evaluator(parallel, cache)
+        self._owns_engine = self.engine is not parallel
         self.service = service
         self.checkpoint = checkpoint
         self.resilience = resilience
         self.observe = observe
+
+    def close(self) -> None:
+        if self.engine is not None and self._owns_engine:
+            self.engine.close()
+
+    def __enter__(self) -> "GraphRunner":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ---------------------------------------------------------------- run
 

@@ -242,7 +242,8 @@ def _cmd_exec(args: "argparse.Namespace") -> str:
         )
         before = cache.stats() if cache is not None else None
         start = time.perf_counter()
-        result = crossbar_sweep(specs, parallel=engine)
+        with engine:
+            result = crossbar_sweep(specs, parallel=engine)
         wall = time.perf_counter() - start
         if result != serial:
             raise RuntimeError("parallel sweep diverged from serial run")
@@ -1100,6 +1101,7 @@ def _campaign_main(argv: List[str]) -> int:
 
         checkpoint = CheckpointStore(args.checkpoint)
     service = None
+    runner = None
     try:
         if args.serve:
             from repro.serve import EvaluationService
@@ -1118,6 +1120,8 @@ def _campaign_main(argv: List[str]) -> int:
             )
         report = runner.run(graph)
     finally:
+        if runner is not None:
+            runner.close()
         if service is not None:
             service.shutdown()
 
@@ -1255,6 +1259,7 @@ def _demo_exec() -> None:
     try:
         engine.map(_exec_demo_probe, tasks)
     finally:
+        engine.close()
         engine.arena.close()
 
 

@@ -271,6 +271,7 @@ def example_config(workload: Workload) -> Dict[str, Any]:
 
 _REGISTRY: Dict[str, Workload] = {}
 _DEFAULTS_LOADED = False
+_GENERATION = 0
 
 #: The seven built-in adapter modules; importing each registers its
 #: workload(s).  Kept as module paths so registration stays lazy and
@@ -290,14 +291,25 @@ def register_workload(workload: Workload, *, replace: bool = False) -> None:
     """Add *workload* to the process-wide registry.
 
     Names are unique; re-registering an existing name requires
-    ``replace=True`` so accidental collisions fail loudly.
+    ``replace=True`` so accidental collisions fail loudly.  A change
+    bumps :func:`registry_generation`.
     """
+    global _GENERATION
     name = getattr(workload, "name", None)
     if not name or not isinstance(name, str):
         raise ValidationError("workloads must carry a non-empty string name")
     if not replace and name in _REGISTRY and _REGISTRY[name] is not workload:
         raise ValidationError(f"workload {name!r} is already registered")
-    _REGISTRY[name] = workload
+    if _REGISTRY.get(name) is not workload:
+        _REGISTRY[name] = workload
+        _GENERATION += 1
+
+
+def registry_generation() -> int:
+    """A counter bumped by every registry change.  Process pools fork
+    their workers once; a pool forked at an older generation would not
+    know the newer workloads, so its owner replaces it."""
+    return _GENERATION
 
 
 def ensure_default_workloads() -> None:
@@ -343,6 +355,7 @@ __all__ = [
     "example_config",
     "get_workload",
     "register_workload",
+    "registry_generation",
     "request_digest",
     "workload_names",
 ]

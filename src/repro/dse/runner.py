@@ -163,7 +163,11 @@ class DSERunner:
         evaluator = HLSEvaluator(
             self.nest, self.space, self.library, executor=executor
         )
-        points = explorer.explore(evaluator, budget, seed=seed)
+        try:
+            points = explorer.explore(evaluator, budget, seed=seed)
+        finally:
+            if executor is not None and executor is not parallel:
+                executor.close()
         objs = np.array([p.objectives for p in points])
         front = [points[i] for i in pareto_indices(objs)]
         # Deduplicate identical configurations on the front.

@@ -34,7 +34,15 @@ path -- while guaranteeing the properties campaigns rely on:
   a typed :class:`~repro.core.errors.WorkerCrashError` instead of
   poisoning every batch.  Tasks that keep failing environmentally
   (without quarantine evidence) fall back to in-process serial
-  execution, so one flaky pool never loses a campaign.
+  execution, so one flaky pool never loses a campaign;
+- **one pool per evaluator**: the executor is created on the first
+  multi-task map and reused by every later one, so a map pays task
+  transport, not a fork and join of its workers.  :meth:`close` (or
+  the ``with`` block) joins the workers, and garbage collection
+  releases the pool of an evaluator dropped unclosed; a broken or
+  timed-out pool is discarded and the next map starts a fresh one.  Workers are forked once, so a workload registered after
+  that is recycled in: a map whose registry generation differs from
+  the pool's forks new workers first.
 """
 
 from __future__ import annotations
@@ -42,10 +50,13 @@ from __future__ import annotations
 import concurrent.futures as _futures
 import os
 import pickle
+import threading
 import time
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.api import registry_generation
 from repro.core.errors import (
     SimulationTimeout,
     ValidationError,
@@ -147,6 +158,32 @@ def _traced_call(payload: tuple) -> dict:
             "events": events}
 
 
+def _terminate(pool: _futures.Executor) -> None:
+    """Stop *pool* now, killing process workers mid-task.
+
+    ``shutdown`` alone lets a worker finish the runaway cell it is
+    stuck in, and Python 3.10-3.12 offer no public way to stop one, so
+    the worker processes are terminated first and then reaped.  A
+    broken or already shut-down pool has no live worker left to kill.
+    Threads cannot be killed: a thread pool only drops its queued work.
+    """
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    for process in processes:
+        process.terminate()
+    pool.shutdown(wait=bool(processes), cancel_futures=True)
+    for process in processes:
+        process.join()
+
+
+def _shutdown_all(executors: Dict[str, _futures.Executor],
+                  wait: bool = True) -> None:
+    """Empty *executors*, shutting every pool down (joining its workers
+    when *wait*)."""
+    while executors:
+        _, pool = executors.popitem()
+        pool.shutdown(wait=wait)
+
+
 class ParallelEvaluator:
     """Map pure evaluation functions over task grids, in parallel.
 
@@ -163,6 +200,10 @@ class ParallelEvaluator:
     (default) switches to shm only when a task carries at least
     ``shm_threshold_bytes`` of ndarray payload.  Results are
     byte-identical either way; thread/serial modes always bypass.
+
+    The evaluator owns its worker pool: created lazily, reused across
+    maps, joined by :meth:`close`.  An evaluator that is pickled
+    travels without its pools, lock and arena.
     """
 
     def __init__(
@@ -216,6 +257,46 @@ class ParallelEvaluator:
         self.last_transport: Optional[str] = None
         self._crash_counts: Dict[str, int] = {}
         self._quarantined: Dict[str, int] = {}
+        self._init_pools()
+
+    def _init_pools(self) -> None:
+        # Executors by kind ("process", "thread"), created on demand;
+        # the registry generation the process pool was forked at.
+        self._lock = threading.Lock()
+        self._executors: Dict[str, _futures.Executor] = {}
+        self._forked_at = -1
+        # Safety net for an evaluator dropped unclosed.  Garbage
+        # collection may run on any thread, even one of these pools'
+        # own, so the finalizer must not join them.
+        self._finalizer = weakref.finalize(
+            self, _shutdown_all, self._executors, False
+        )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        for name in ("_lock", "_executors", "_forked_at", "_finalizer"):
+            del state[name]
+        state["_arena"] = None  # segments belong to this process
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._init_pools()
+
+    def close(self, wait: bool = True) -> None:
+        """Shut the worker pools down, joining their workers unless
+        ``wait=False``.  Idempotent; the evaluator stays usable -- the
+        next multi-task map starts a new pool."""
+        with self._lock:
+            executors = dict(self._executors)
+            self._executors.clear()
+        _shutdown_all(executors, wait)
+
+    def __enter__(self) -> "ParallelEvaluator":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     @property
     def arena(self) -> ShmArena:
@@ -475,17 +556,20 @@ class ParallelEvaluator:
         settled: Dict[int, Any] = {}
         crashed: List[int] = []
         for rel in rels:
+            pool = _futures.ProcessPoolExecutor(max_workers=1)
             try:
-                with _futures.ProcessPoolExecutor(max_workers=1) as pool:
-                    future = pool.submit(_run_chunk, fn, [tasks[rel]])
-                    settled[rel] = future.result(timeout=self.timeout_s)[0]
+                future = pool.submit(_run_chunk, fn, [tasks[rel]])
+                settled[rel] = future.result(timeout=self.timeout_s)[0]
             except BrokenProcessPool:
                 crashed.append(rel)
             except _futures.TimeoutError:
+                _terminate(pool)
                 raise SimulationTimeout(
                     f"crash-retry of task exceeded its "
                     f"{self.timeout_s:g} s budget",
                 ) from None
+            finally:
+                pool.shutdown(wait=True)
         return settled, crashed
 
     # ------------------------------------------------------------ internals
@@ -524,21 +608,62 @@ class ParallelEvaluator:
             return [fn(task) for task in tasks]
         if self.mode == "process":
             try:
-                return self._execute_pool(
-                    _futures.ProcessPoolExecutor, fn, tasks
-                )
+                return self._execute_pool("process", fn, tasks)
             except (pickle.PicklingError, TypeError, AttributeError,
                     ImportError):
                 # Unpicklable cell function/payload: degrade to threads,
                 # which share the interpreter and need no serialization.
-                return self._execute_pool(
-                    _futures.ThreadPoolExecutor, fn, tasks
-                )
-        return self._execute_pool(_futures.ThreadPoolExecutor, fn, tasks)
+                return self._execute_pool("thread", fn, tasks)
+        return self._execute_pool("thread", fn, tasks)
+
+    def _executor(self, kind: str) -> _futures.Executor:
+        """The live *kind* pool, created on first use.  A process pool
+        forked before the latest workload registration is replaced:
+        its workers resolve workloads from the registry they were
+        forked with."""
+        stale = None
+        with self._lock:
+            pool = self._executors.get(kind)
+            if kind == "process" and pool is not None \
+                    and self._forked_at != registry_generation():
+                stale, pool = pool, None
+            if pool is None:
+                if kind == "process":
+                    pool = _futures.ProcessPoolExecutor(self.max_workers)
+                    self._forked_at = registry_generation()
+                else:
+                    pool = _futures.ThreadPoolExecutor(self.max_workers)
+                self._executors[kind] = pool
+        if stale is not None:
+            stale.shutdown(wait=True)
+        return pool
+
+    def _retire(self, kind: str, pool: _futures.Executor) -> None:
+        """Forget *pool* if it is still the live *kind* pool, and stop
+        it; the next map starts a fresh one."""
+        with self._lock:
+            if self._executors.get(kind) is pool:
+                del self._executors[kind]
+        _terminate(pool)
+
+    def _submit(
+        self, kind: str, fn: Callable[[Any], Any], chunks: List[List[Any]]
+    ) -> Tuple[_futures.Executor, List["_futures.Future"]]:
+        pool = self._executor(kind)
+        try:
+            return pool, [pool.submit(_run_chunk, fn, c) for c in chunks]
+        except RuntimeError:
+            # The pool broke or was shut down since it was handed out
+            # (a worker killed while idle, a timeout in another
+            # thread): no result of this map depends on it, so start
+            # over on a fresh pool.
+            self._retire(kind, pool)
+            pool = self._executor(kind)
+            return pool, [pool.submit(_run_chunk, fn, c) for c in chunks]
 
     def _execute_pool(
         self,
-        executor_cls,
+        kind: str,
         fn: Callable[[Any], Any],
         tasks: List[Any],
     ) -> List[Any]:
@@ -547,29 +672,35 @@ class ParallelEvaluator:
             for i in range(0, len(tasks), self.chunksize)
         ]
         start = time.monotonic()
-        with executor_cls(max_workers=self.max_workers) as pool:
-            futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
-            gathered: List[List[Any]] = []
-            try:
-                for chunk, future in zip(chunks, futures):
-                    budget = (
-                        None
-                        if self.timeout_s is None
-                        else self.timeout_s * len(chunk)
-                    )
-                    gathered.append(future.result(timeout=budget))
-            except _futures.TimeoutError:
-                for future in futures:
-                    future.cancel()
-                pool.shutdown(wait=False, cancel_futures=True)
-                elapsed = time.monotonic() - start
-                raise SimulationTimeout(
-                    f"evaluation cell exceeded its {self.timeout_s:g} s "
-                    f"budget ({self.mode} pool, {self.max_workers} workers)",
-                    elapsed_s=elapsed,
-                ) from None
-            except BrokenProcessPool as exc:
-                raise _crash_error(chunks, futures) from exc
+        pool, futures = self._submit(kind, fn, chunks)
+        gathered: List[List[Any]] = []
+        try:
+            for chunk, future in zip(chunks, futures):
+                budget = (
+                    None
+                    if self.timeout_s is None
+                    else self.timeout_s * len(chunk)
+                )
+                gathered.append(future.result(timeout=budget))
+        except _futures.TimeoutError:
+            self._retire(kind, pool)
+            elapsed = time.monotonic() - start
+            raise SimulationTimeout(
+                f"evaluation cell exceeded its {self.timeout_s:g} s "
+                f"budget ({self.mode} pool, {self.max_workers} workers)",
+                elapsed_s=elapsed,
+            ) from None
+        except BrokenProcessPool as exc:
+            error = _crash_error(chunks, futures)
+            self._retire(kind, pool)
+            raise error from exc
+        except BaseException:
+            # A task failed (or did not pickle): the pool stays, but
+            # none of this map's work may outlive the map.
+            for future in futures:
+                future.cancel()
+            _futures.wait(futures)
+            raise
         return [value for chunk in gathered for value in chunk]
 
     # ------------------------------------------------------------ accounting

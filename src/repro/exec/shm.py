@@ -12,9 +12,10 @@ bytes through ``multiprocessing.shared_memory`` instead:
 - only a tiny :class:`ShmDescriptor` -- ``(segment name, shape, dtype,
   nbytes, digest)`` -- rides through the pickle boundary;
 - the worker **attaches** the segment and hands the kernel a zero-copy
-  read-only ndarray view; attachments are memoized per worker process,
-  so every batch item in a chunk (and every later chunk) referencing the
-  same digest reuses the mapped buffer instead of re-attaching;
+  read-only ndarray view; attachments are memoized per worker process
+  for the duration of one map, so every batch item in a chunk (and
+  every later chunk of that map) referencing the same digest reuses
+  the mapped buffer instead of re-attaching;
 - segments are **refcounted** on the parent: each map (or in-flight
   shard request) holds a lease, release drops it, and the arena unlinks
   at zero -- optionally parking a few zero-ref segments in an LRU so
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import atexit
 import hashlib
+import itertools
 import threading
 import time
 from collections import OrderedDict
@@ -478,17 +480,36 @@ def payload_bytes(obj: Any, threshold: int = 1) -> int:
     return 0
 
 
+_MAP_IDS = itertools.count()
+_current_map: Optional[int] = None
+
+
+def _enter_map(map_id: int) -> None:
+    """Scope the attachment cache to one map: a worker outlives many
+    maps, and the segments of finished ones are already unlinked by
+    their arena, so holding their mappings would only pin memory."""
+    global _current_map
+    with _ATTACH_LOCK:
+        if map_id != _current_map:
+            _current_map = map_id
+            while _ATTACHMENTS:
+                _evict_oldest_attachment()
+
+
 class ShmFunction:
     """Picklable callable: decode the task's descriptors, then run the
     wrapped function.  This is the worker-side half of the transport --
-    the executor submits ``ShmFunction(fn)`` over encoded tasks."""
+    the executor submits ``ShmFunction(fn)`` over encoded tasks, one
+    instance (and so one ``map_id``) per map."""
 
-    __slots__ = ("fn",)
+    __slots__ = ("fn", "map_id")
 
     def __init__(self, fn: Any) -> None:
         self.fn = fn
+        self.map_id = next(_MAP_IDS)
 
     def __call__(self, task: Any) -> Any:
+        _enter_map(self.map_id)
         return self.fn(decode_payload(task))
 
 

@@ -176,8 +176,8 @@ def run_campaign(
     graph = hetero_campaign_graph(
         workload, tuple(devices), tuple(storage_tiers)
     )
-    runner = GraphRunner(parallel=parallel, cache=cache, observe=False)
-    return runner.run(graph).value("cells")
+    with GraphRunner(parallel=parallel, cache=cache, observe=False) as runner:
+        return runner.run(graph).value("cells")
 
 
 @dataclass(frozen=True)
@@ -352,10 +352,10 @@ def run_resilient_campaign(
     graph = resilient_campaign_graph(
         workload, tuple(devices), tuple(storage_tiers), injector, backoff
     )
-    runner = GraphRunner(
+    with GraphRunner(
         parallel=parallel, checkpoint=checkpoint, observe=False
-    )
-    run = runner.run(graph)
+    ) as runner:
+        run = runner.run(graph)
     report: CampaignReport = run.value("report")
     ledger.event(
         "run.finished",

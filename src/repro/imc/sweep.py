@@ -143,8 +143,8 @@ def crossbar_sweep(
     from repro.campaign import GraphRunner, crossbar_sweep_graph
 
     graph = crossbar_sweep_graph(specs)
-    runner = GraphRunner(parallel=parallel, cache=cache, observe=False)
-    return runner.run(graph).value("rows")
+    with GraphRunner(parallel=parallel, cache=cache, observe=False) as runner:
+        return runner.run(graph).value("rows")
 
 
 #: The spec-identity keys every sweep record echoes (in record order).

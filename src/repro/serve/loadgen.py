@@ -129,6 +129,12 @@ def run_load(
     saturation); otherwise arrivals are paced open-loop at the offered
     rate.  Returns offered/achieved throughput, a latency summary over
     the completed requests, and error/rejection counts.
+
+    A request's latency runs from the moment it was due (paced) or
+    submitted (burst) to the moment its future resolved, stamped by a
+    done callback -- so a fast request is never charged the wait of a
+    slow one submitted before it, and a generator that falls behind
+    its schedule shows up as latency.
     """
     if rate_rps is not None and rate_rps <= 0:
         raise ValidationError("rate_rps must be positive")
@@ -136,25 +142,32 @@ def run_load(
     rejected = 0
     start = time.perf_counter()
     for index, request in enumerate(requests):
+        due = None
         if rate_rps is not None:
             due = start + index / rate_rps
             delay = due - time.perf_counter()
             if delay > 0:
                 time.sleep(delay)
-        submitted_at = time.perf_counter()
+        t0 = time.perf_counter() if due is None else due
         try:
-            futures.append(
-                (submitted_at, service.submit_request(request, block=block))
-            )
+            future = service.submit_request(request, block=block)
         except AdmissionRejected:
             rejected += 1
+            continue
+        done_at: List[float] = []
+        future.add_done_callback(
+            lambda _f, done_at=done_at: done_at.append(time.perf_counter())
+        )
+        futures.append((t0, future, done_at))
     results = []
     latencies = []
     errors = 0
-    for submitted_at, future in futures:
+    for t0, future, done_at in futures:
         result = future.result()
         results.append(result)
-        latencies.append(time.perf_counter() - submitted_at)
+        # A waiter can wake before the done callbacks have run.
+        stamp = done_at[0] if done_at else time.perf_counter()
+        latencies.append(stamp - t0)
         if not result.ok:
             errors += 1
     elapsed = time.perf_counter() - start

@@ -458,6 +458,7 @@ class EvaluationService:
         ``drain=True`` (graceful) completes every queued request first;
         ``drain=False`` cancels queued requests (their futures raise
         :class:`AdmissionRejected`) and stops after the in-flight batch.
+        The evaluator's worker pool is joined and its cache flushed.
         Idempotent.
         """
         with self._lock:
@@ -495,9 +496,14 @@ class EvaluationService:
             self._work_ready.notify_all()
             self._space_ready.notify_all()
             thread = self._thread
+        stuck = False
         if thread is not None:
             thread.join(timeout)
+            stuck = thread.is_alive()
             self._thread = None
+        # A dispatcher still inside a batch after *timeout* keeps the
+        # pool busy: release it without waiting for that batch.
+        self._evaluator.close(wait=not stuck)
         if self.cache is not None:
             self.cache.close()
 
@@ -509,7 +515,9 @@ class EvaluationService:
         exactly what callers of a crashed shard observe, and it is the
         failure mode :class:`~repro.serve.cluster.ShardCluster` must
         recover from by restarting the shard and replaying the run
-        ledger.  A chaos/testing hook, not a lifecycle method.
+        ledger.  A chaos/testing hook, not a lifecycle method.  The
+        worker pool is released as a dead process's would be, without
+        waiting for a batch the dispatcher may still be running.
         """
         with self._lock:
             self._stopped = True
@@ -519,6 +527,7 @@ class EvaluationService:
             self._work_ready.notify_all()
             self._space_ready.notify_all()
             self._idle.notify_all()
+        self._evaluator.close(wait=False)
         get_ledger().event("shard.killed")
 
     # ------------------------------------------------------------ dispatch

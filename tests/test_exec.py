@@ -1,12 +1,16 @@
 """Unit tests for the parallel evaluation engine and result cache."""
 
 import json
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from repro.core.api import build_run_result, register_workload
 from repro.core.errors import (
     SimulationTimeout,
     ValidationError,
@@ -69,6 +73,47 @@ def _crash_off_main(task):
     if os.getpid() != main_pid:
         os._exit(11)
     return value * 3
+
+
+def _worker_pid(_task):
+    """The pid of the process that ran the task (a short nap lets every
+    worker of a small pool pick up a task)."""
+    time.sleep(0.02)
+    return os.getpid()
+
+
+def _sleep_for(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _child_pids():
+    import multiprocessing
+
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+class _LateWorkload:
+    """Registered only after a pool's workers were forked."""
+
+    name = "test-exec-late"
+
+    def space(self):
+        return {"x": (1, 2, 3)}
+
+    def evaluate(self, config, *, seed=0, impl=None):
+        return build_run_result(
+            self.name, {"y": 2.0 * config["x"] + seed},
+            config=dict(config), seed=seed, impl=impl,
+        )
 
 
 @dataclass(frozen=True)
@@ -354,6 +399,137 @@ class TestWorkerCrashRecovery:
             ParallelEvaluator(crash_retries=-1)
         with pytest.raises(ValidationError):
             ParallelEvaluator(quarantine_after=0)
+
+
+class TestPersistentPool:
+    """One pool per evaluator: forked on the first multi-task map,
+    reused after, joined by close(), replaced when it cannot serve."""
+
+    def test_worker_pids_repeat_across_maps(self):
+        with ParallelEvaluator(max_workers=2, mode="process") as engine:
+            pids = [set(engine.map(_worker_pid, range(4)))
+                    for _ in range(3)]
+        assert os.getpid() not in set.union(*pids)
+        assert len(set.union(*pids)) <= 2
+
+    def test_concurrent_maps_share_one_pool(self):
+        import sys
+        import threading
+
+        engine = ParallelEvaluator(max_workers=3, mode="process")
+        results, errors = [], []
+
+        def client():
+            try:
+                for _ in range(3):
+                    results.append(engine.map(_worker_pid, range(6)))
+            except Exception as exc:  # re-checked below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 12
+        # One pool for every thread: never more workers than it has.
+        assert len({pid for pids in results for pid in pids}) <= 3
+
+    def test_close_joins_workers_and_engine_stays_usable(self):
+        engine = ParallelEvaluator(max_workers=2, mode="process")
+        before = _child_pids()
+        pids = set(engine.map(_worker_pid, range(4)))
+        engine.close()
+        engine.close()  # idempotent
+        assert not any(_alive(pid) for pid in pids)
+        assert _child_pids() <= before
+        again = set(engine.map(_worker_pid, range(4)))
+        assert not again & pids
+        engine.close()
+
+    def test_killed_idle_worker_gives_a_fresh_pool(self):
+        with ParallelEvaluator(max_workers=2, mode="process") as engine:
+            pids = set(engine.map(_worker_pid, range(4)))
+            victim = next(iter(pids))
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while _alive(victim) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert engine.map(_square, range(6)) == [
+                x * x for x in range(6)
+            ]
+            fresh = set(engine.map(_worker_pid, range(4)))
+        assert not fresh & pids
+        # Nothing of the map ran on the broken pool: no crash charged.
+        assert engine.worker_crashes == 0
+
+    def test_pickled_evaluator_travels_without_its_pool(self):
+        with ParallelEvaluator(max_workers=2, mode="process") as engine:
+            engine.map(_square, range(4))
+            clone = pickle.loads(pickle.dumps(engine))
+            assert clone._executors == {}
+            assert clone.max_workers == 2 and clone.mode == "process"
+            assert clone.map(_square, range(4)) == [0, 1, 4, 9]
+            clone.close()
+
+    def test_timeout_terminates_the_runaway_workers(self):
+        engine = ParallelEvaluator(max_workers=2, mode="process",
+                                   timeout_s=0.2)
+        before = _child_pids()
+        pids = set(engine.map(_worker_pid, range(4)))
+        start = time.monotonic()
+        with pytest.raises(SimulationTimeout):
+            engine.map(_sleep_for, [3.0, 3.0])
+        assert time.monotonic() - start < 2.0
+        assert not any(_alive(pid) for pid in pids)
+        assert _child_pids() <= before
+        # The next map runs on a fresh pool.
+        assert engine.map(_square, range(4)) == [0, 1, 4, 9]
+        assert not set(engine.map(_worker_pid, range(4))) & pids
+        engine.close()
+
+    def test_workload_registered_after_fork_is_served(self):
+        from repro.serve import EvaluationService
+
+        engine = ParallelEvaluator(max_workers=2, mode="process")
+        before = _child_pids()
+        engine.map(_worker_pid, range(4))  # fork the pool
+        with EvaluationService(parallel=engine, batch_size=8,
+                               start=False) as service:
+            late = _LateWorkload()
+            register_workload(late, replace=True)
+            futures = [service.submit(late.name, {"x": x}, seed=1)
+                       for x in (1, 2, 3)]
+            service.start()  # one batch of three: a pool map
+            served = [f.result(timeout=60) for f in futures]
+        for x, result in zip((1, 2, 3), served):
+            assert result.ok, result.error
+            direct = late.evaluate({"x": x}, seed=1)
+            assert result.canonical_json() == direct.canonical_json()
+        assert engine.tasks_computed == 4 + 3
+        # shutdown() joined the evaluator's pool.
+        assert _child_pids() <= before
+
+    def test_graph_runner_closes_only_its_own_engine(self):
+        from repro.campaign import GraphRunner
+
+        mine = ParallelEvaluator(max_workers=2, mode="process")
+        pids = set(mine.map(_worker_pid, range(4)))
+        with GraphRunner(parallel=mine):
+            pass
+        assert all(_alive(pid) for pid in pids)
+        mine.close()
+        with GraphRunner(parallel=2) as runner:
+            built = set(runner.engine.map(_worker_pid, range(4)))
+        assert not any(_alive(pid) for pid in built)
 
 
 class TestMakeEvaluator:

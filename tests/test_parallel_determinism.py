@@ -29,6 +29,7 @@ from repro.resilience import (
     CheckpointStore,
     FaultInjector,
     FaultModel,
+    ResiliencePolicy,
 )
 
 WORKLOAD = SegmentationWorkload(num_volumes=8, epochs=1)
@@ -100,7 +101,8 @@ class TestCampaignDeterminism:
                 seed=9,
             )
             return run_resilient_campaign(
-                WORKLOAD, injector=injector, policy=policy,
+                WORKLOAD, injector=injector,
+                resilience=ResiliencePolicy(backoff=policy),
                 parallel=parallel,
             )
 
@@ -125,12 +127,14 @@ class TestCampaignDeterminism:
             )
 
         full = run_resilient_campaign(
-            WORKLOAD, injector=injector(), policy=policy,
+            WORKLOAD, injector=injector(),
+            resilience=ResiliencePolicy(backoff=policy),
             checkpoint=CheckpointStore(tmp_path / "par.json"),
             parallel=2,
         )
         resumed = run_resilient_campaign(
-            WORKLOAD, injector=injector(), policy=policy,
+            WORKLOAD, injector=injector(),
+            resilience=ResiliencePolicy(backoff=policy),
             checkpoint=CheckpointStore(tmp_path / "par.json"),
         )
         # Backoff seconds are not checkpointed, so compare the cell and

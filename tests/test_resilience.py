@@ -34,6 +34,7 @@ from repro.resilience import (
     FaultInjector,
     FaultModel,
     FaultyStorage,
+    ResiliencePolicy,
     resilient_run,
 )
 from repro.sparta.noc import NocConfig
@@ -485,7 +486,8 @@ class TestResilientCampaign:
                 FaultModel(storage_transient_rate=0.2), seed=42
             )
             return run_resilient_campaign(
-                WORKLOAD, injector=injector, policy=policy
+                WORKLOAD, injector=injector,
+                resilience=ResiliencePolicy(backoff=policy)
             )
 
         report = run()
@@ -516,7 +518,8 @@ class TestResilientCampaign:
         )
         policy = BackoffPolicy(max_attempts=2)
         report = run_resilient_campaign(
-            WORKLOAD, injector=injector, policy=policy
+            WORKLOAD, injector=injector,
+            resilience=ResiliencePolicy(backoff=policy)
         )
         assert not report.cells
         assert report.failure_rate == 1.0
@@ -546,7 +549,8 @@ class TestResilientCampaign:
             )
 
         full = run_resilient_campaign(
-            WORKLOAD, injector=injector(), policy=policy
+            WORKLOAD, injector=injector(),
+            resilience=ResiliencePolicy(backoff=policy)
         )
 
         # Simulate a crash: persist only the first half of the cells.
@@ -560,7 +564,8 @@ class TestResilientCampaign:
                 half.save(error.key, error.to_record())
 
         resumed = run_resilient_campaign(
-            WORKLOAD, injector=injector(), policy=policy,
+            WORKLOAD, injector=injector(),
+            resilience=ResiliencePolicy(backoff=policy),
             checkpoint=half,
         )
         assert resumed.keys() == full.keys()
@@ -606,7 +611,9 @@ class TestDSEGracefulDegradation:
         runner = self._runner()
         scores = runner.compare(
             [FlakyExplorer()], budget=6, seed=0,
-            policy=BackoffPolicy(max_attempts=4),
+            resilience=ResiliencePolicy(
+                backoff=BackoffPolicy(max_attempts=4)
+            ),
         )
         assert len(calls) == 3
         assert "hypervolume" in scores["flaky"]

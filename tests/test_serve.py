@@ -11,7 +11,9 @@ accounting and the metrics snapshot.
 
 import asyncio
 import json
+import threading
 import time
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 import pytest
@@ -559,3 +561,27 @@ class TestLoadgen:
         assert point["offered_rps"] == 200.0
         assert point["completed"] == 4
         assert point["elapsed_s"] >= 3 / 200.0
+
+    def test_run_load_times_each_request_from_its_own_submit(self):
+        # One slow request first, three fast ones after it: the fast
+        # ones resolve long before the slow one and must report their
+        # own latency, not the slow request's wait.
+        class _TimedService:
+            def submit_request(self, request, block=False):
+                future = Future()
+                result = build_run_result(
+                    "test-timed", {}, config=dict(request.config),
+                    seed=request.seed,
+                )
+                delay = 0.4 if request.seed == 0 else 0.01
+                threading.Timer(delay, future.set_result, (result,)).start()
+                return future
+
+        requests = [
+            EvalRequest(workload="test-timed", config={}, seed=seed)
+            for seed in range(4)
+        ]
+        point = run_load(_TimedService(), requests)
+        assert point["completed"] == 4
+        assert point["latency_s"]["max"] >= 0.35
+        assert point["latency_s"]["p50"] < 0.2

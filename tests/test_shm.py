@@ -40,6 +40,13 @@ def _sum_payload(task):
     return float(task["payload"].sum())
 
 
+def _attached_segments(task):
+    """The segment names this worker holds mapped while running *task*."""
+    from repro.exec import shm
+
+    return sorted(shm._ATTACHMENTS)
+
+
 def _crash_once_then_sum(task):
     """Kill the worker process on first sight of the sentinel file, then
     behave; models an environmental death with shm leases in flight."""
@@ -315,6 +322,22 @@ class TestEvaluatorTransport:
             engine.arena.close()
         for name in names:  # idle-parked segments die with the arena
             assert not _segment_exists(name)
+
+    def test_persistent_workers_hold_only_the_current_maps_segments(self):
+        engine = ParallelEvaluator(max_workers=2, mode="process",
+                                   transport="shm")
+        seen = []
+        try:
+            for i in range(4):
+                payload = np.full(1 << 20, float(i))  # 8 MB, distinct
+                tasks = [{"payload": payload, "cell": c} for c in range(2)]
+                held = engine.map(_attached_segments, tasks)
+                assert all(len(names) == 1 for names in held), held
+                seen.append(held[0][0])
+        finally:
+            engine.close()
+            engine.arena.close()
+        assert len(set(seen)) == 4
 
 
 class TestResultCacheNdarrayMemo:
