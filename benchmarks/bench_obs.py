@@ -1,13 +1,13 @@
 """Experiment OBS: observability overhead and stitched-trace identity.
 
 The ``repro.obs`` spine promises near-zero cost when disabled -- the
-``@profiled`` wrapper on every hot kernel reduces to one hook check and
-one ``enabled`` flag read, and the observability plane's newer layers
+``@profiled`` wrapper on every hot kernel reduces to one tracer
+``enabled`` flag read, and the observability plane's newer layers
 (flight recorder, SLO evaluator, cross-process trace stitching) must
 not change that.  This bench measures the promise and gates it in CI:
 
-- **kernel row**: tracing, metrics, ledger and the perf profiler all
-  off (the default state of every library entry point).  Measured
+- **kernel row**: tracing, metrics and ledger all off (the default
+  state of every library entry point).  Measured
   against the unwrapped kernel (``fn.__wrapped__``), the wrapper must
   cost at most ``--max-overhead`` (default 5%) at the bench size.
 - **kernel+recorder row**: same measurement with a
@@ -35,7 +35,7 @@ exit code nonzero on failure):
 
 - disabled/armed-mode overhead <= 5% on every gated row;
 - the enabled kernel run records at least one span per call (the
-  perf->span bridge actually fires);
+  ``@profiled`` span actually opens);
 - stitched cluster traces byte-identical across reruns and backends.
 """
 
@@ -50,7 +50,6 @@ import numpy as np
 from repro import obs
 from repro.imc.crossbar import AnalogCrossbar, CrossbarConfig
 from repro.obs.trace import derive_trace_id
-from repro.perf import get_profiler
 
 FULL = {"rows": 128, "cols": 128, "batch": 8, "calls": 400,
         "cluster_requests": 96}
@@ -128,7 +127,6 @@ def _measure_kernel(size, repeats: int):
     calls = size["calls"]
 
     obs.disable()
-    get_profiler().disable()
     call()  # warm-up: imports, allocator, caches
     direct_times, disabled_times = _interleaved_times(
         direct, call, calls, repeats
@@ -173,7 +171,6 @@ def _measure_kernel_armed(size, repeats: int):
     calls = size["calls"]
 
     obs.disable()
-    get_profiler().disable()
     call()
     recorder = FlightRecorder(interval_s=0.05)
     recorder.watch_ledger()
@@ -259,7 +256,6 @@ def _measure_cluster(backend, size, repeats: int):
     from repro.obs.slo import SLOEvaluator, SLOSpec
 
     obs.disable()
-    get_profiler().disable()
     _reset_all()
     _run_cluster(backend, size)  # warm-up (imports, spawn machinery)
 
@@ -448,7 +444,7 @@ def check(study, max_overhead: float = 0.05):
                 if bridged
                 else f"FAIL {row['kind']}: enabled run recorded "
                 f"{row['spans_recorded']} spans for {row['calls']} "
-                "calls (perf->span bridge did not fire)"
+                "calls (@profiled opened no span)"
             )
         if row["kind"].startswith("cluster"):
             if row["stitched_traces"] < row["requests"]:

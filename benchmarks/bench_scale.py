@@ -35,6 +35,7 @@ import sys
 import time
 
 from repro.core.api import get_workload
+from repro.obs.stats import percentile
 from repro.serve import generate_requests
 from repro.serve.capacity import (
     CapacityModel,
@@ -42,7 +43,6 @@ from repro.serve.capacity import (
     capacity_report,
 )
 from repro.serve.cluster import ShardCluster
-from repro.serve.metrics import percentile
 
 WORKLOAD = "imc-crossbar"
 FULL_REQUESTS = 96

@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.axc.layers import _check_feature_map, zero_upsample_x2
 from repro.axc.macs import MacCounter
-from repro.perf import profiled
+from repro.obs.trace import profiled
 
 
 @dataclass(frozen=True)

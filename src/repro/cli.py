@@ -12,9 +12,11 @@ and ``exec`` -- the parallel evaluation engine demo: an IMC crossbar
 campaign fanned out over the process pool with content-addressed result
 caching (``--workers``, ``--cells``, ``--cache-dir``, ``--no-cache``).
 
-``profile [demo]`` enables the :mod:`repro.perf` profiler, runs one (or
-all) of the short kernel demos -- ``imc``, ``dna``, ``axc``, ``sparta``,
-``hls``, ``exec`` -- and prints the timer/counter table.
+``profile [demo]`` enables :mod:`repro.obs` tracing and metrics, runs one
+(or all) of the short kernel demos -- ``imc``, ``dna``, ``axc``,
+``sparta``, ``hls``, ``exec`` -- each under a root span named after it,
+and prints the span tree aggregated by name path followed by the
+metrics registry's histograms and counters.
 
 ``serve`` runs the :mod:`repro.serve` micro-batched evaluation service:
 ``--requests FILE`` serves a JSON array of requests one-shot; without it
@@ -1218,8 +1220,8 @@ def _demo_sparta() -> None:
     region = bfs_tasks(random_graph(128, seed=14), seed=14)
     simulate(region)
     simulate(region, enable_cache=False, memory_latency=200)
-    # Compiled tier: either a jit.compile timer (numba installed) or a
-    # jit.fallback counter shows up in the profile table.
+    # Compiled tier: either a jit.compile histogram (numba installed) or
+    # a jit.fallback counter shows up in the profile table.
     simulate(region, impl="jit")
 
 
@@ -1250,7 +1252,7 @@ def _demo_exec() -> None:
     crossbar_sweep(specs, cache=cache)  # cold: all misses
     crossbar_sweep(specs, cache=cache)  # warm: all hits
     # Zero-copy transport: four tasks sharing one 2 MB payload, so the
-    # shm.register / shm.encode / shm.attach timers become visible.
+    # shm.register / shm.encode histograms become visible.
     engine = ParallelEvaluator(
         max_workers=2, mode="process", transport="shm"
     )
@@ -1274,18 +1276,30 @@ _PROFILE_DEMOS = {
 
 
 def _cmd_profile(args: "argparse.Namespace") -> str:
-    from repro.perf import disable_profiling, enable_profiling
+    from repro import obs
+    from repro.obs.report import render_profile
 
     names = [args.demo] if args.demo else sorted(_PROFILE_DEMOS)
-    profiler = enable_profiling()
-    profiler.reset()
+    tracer = obs.enable_tracing()
+    registry = obs.enable_metrics()
+    tracer.reset()
+    registry.reset()
     try:
         for name in names:
-            with profiler.timer(name):
+            root = tracer.start_span(
+                name,
+                trace_id=obs.derive_trace_id(f"profile/{name}"),
+                parent_id="",
+            )
+            with tracer.activate(root.context):
                 _PROFILE_DEMOS[name]()
+            tracer.end_span(root)
+        return render_profile(tracer.spans(), registry.snapshot())
     finally:
-        disable_profiling()
-    return profiler.render_table()
+        obs.disable_tracing()
+        obs.disable_metrics()
+        tracer.reset()
+        registry.reset()
 
 
 def _cmd_survey_csv() -> str:

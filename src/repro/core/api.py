@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -76,12 +75,6 @@ class RunResult:
     (see :func:`request_digest`), which doubles as the cache key under
     :mod:`repro.serve`.  *status* is ``"ok"`` or ``"error"``; error
     results carry ``error`` / ``error_type`` instead of metrics.
-
-    Legacy attribute names from the pre-unification result shapes
-    (``cycles``, ``rms_error``, ``total_seconds``, ...) resolve through
-    the metrics dict with a :class:`DeprecationWarning`, so callers
-    ported from ``SimulationStats`` and friends keep working while they
-    migrate to ``result.metrics[...]``.
     """
 
     workload: str
@@ -112,30 +105,6 @@ class RunResult:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-    # ------------------------------------------------- legacy attribute shim
-
-    def __getattr__(self, name: str) -> Any:
-        # Only reached for attributes not found normally.  Resolve
-        # legacy result-shape attribute names through the metrics dict
-        # so pre-unification callers keep working, loudly.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        try:
-            metrics = object.__getattribute__(self, "metrics")
-        except AttributeError:  # mid-unpickle, before fields exist
-            raise AttributeError(name) from None
-        if isinstance(metrics, dict) and name in metrics:
-            warnings.warn(
-                f"RunResult.{name} is a deprecated alias for "
-                f"RunResult.metrics[{name!r}]; use the metrics dict",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return metrics[name]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
     # ------------------------------------------------------------ JSON forms
 

@@ -1,6 +1,6 @@
 """Soft-dependency compiled kernel tier (``impl="jit"``).
 
-The profiler work of the kernel PRs left two inner loops where numpy
+The profiling work of the kernel PRs left two inner loops where numpy
 still gives back >2x to compiled code: the SPARTA per-cycle simulation
 (pointer-chasing integer state machines vectorize poorly) and the banded
 edit distance at small bands (band rows of a dozen cells drown in numpy
@@ -12,11 +12,11 @@ dispatch overhead).  This module is the *tier switch* for those kernels:
   also a plain-Python function -- the equivalence tests execute the
   same code path with or without the compiler;
 - :func:`resolve_impl` maps a requested ``impl="jit"`` to the declared
-  fallback tier when numba is missing (recording a
-  ``jit.fallback`` profiler counter so the degradation is visible in
+  fallback tier when numba is missing (incrementing the
+  ``jit.fallback`` metrics counter so the degradation is visible in
   ``repro profile`` output instead of silent);
 - :func:`timed_first_call` charges the one-time compilation cost of a
-  lazily-compiled kernel to a ``jit.compile/<label>`` timer, keeping
+  lazily-compiled kernel to a ``jit.compile/<label>`` histogram, keeping
   warm-path measurements honest.
 
 numba is deliberately **not** in the runtime dependencies: every tier-1
@@ -31,7 +31,7 @@ import functools
 import time
 from typing import Any, Callable, Optional
 
-from repro.perf import get_profiler
+from repro.obs.metrics import get_metrics
 
 _NUMBA: Optional[Any] = None
 _PROBED = False
@@ -88,21 +88,21 @@ def resolve_impl(impl: str, fallback: str = "numpy") -> str:
 
     ``"jit"`` resolves to *fallback* when numba is absent (the graceful
     soft-dependency contract); every other tier passes through.  Each
-    fallback increments the default profiler's ``jit.fallback`` counter
+    fallback increments the metrics registry's ``jit.fallback`` counter
     so ``repro profile`` shows the degradation.
     """
     if impl != "jit" or numba_available():
         return impl
-    get_profiler().count("jit.fallback")
+    get_metrics().inc("jit.fallback")
     return fallback
 
 
 def timed_first_call(label: str) -> Callable:
-    """Decorator: record the wrapped function's *first* call duration
-    under ``jit.compile/<label>``.
+    """Decorator: observe the wrapped function's *first* call duration
+    in the ``jit.compile/<label>`` histogram.
 
     Lazily-compiled numba kernels pay their compilation on the first
-    dispatch; charging that call to a dedicated timer keeps it out of
+    dispatch; charging that call to a dedicated histogram keeps it out of
     steady-state kernel measurements and makes compile cost a visible
     ``repro profile`` row.  After the first call the wrapper adds one
     boolean check.
@@ -118,7 +118,7 @@ def timed_first_call(label: str) -> Callable:
                 return fn(*args, **kwargs)
             finally:
                 wrapper.__jit_warm__ = True
-                get_profiler().record(
+                get_metrics().observe(
                     f"jit.compile/{label}", time.perf_counter() - start
                 )
 

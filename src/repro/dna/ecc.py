@@ -20,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.perf import profiled
+from repro.obs.trace import profiled
 
 _PRIMITIVE_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
 _FIELD_SIZE = 256

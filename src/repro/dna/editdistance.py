@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.jit import resolve_impl
-from repro.perf import profiled
+from repro.obs.trace import profiled
 
 
 @dataclass

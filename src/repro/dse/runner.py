@@ -192,7 +192,6 @@ class DSERunner:
         explorers: Sequence,
         budget: int,
         seed: SeedLike = 0,
-        policy=None,
         checkpoint=None,
         parallel: EvaluatorLike = None,
         cache: CacheLike = None,
@@ -212,10 +211,9 @@ class DSERunner:
         The comparison degrades gracefully: an explorer whose run fails
         is recorded with an ``{"error": ...}`` entry instead of aborting
         the whole study, transient faults are retried under the backoff
-        of *resilience* (a :class:`~repro.resilience.ResiliencePolicy`;
-        ``policy=BackoffPolicy(...)`` is the deprecated spelling), and a
-        *checkpoint* (:class:`~repro.resilience.CheckpointStore`) lets
-        an interrupted comparison resume with completed explorers'
+        of *resilience* (a :class:`~repro.resilience.ResiliencePolicy`),
+        and a *checkpoint* (:class:`~repro.resilience.CheckpointStore`)
+        lets an interrupted comparison resume with completed explorers'
         scores intact.
 
         Checkpointed scores are computed against that run's own
@@ -228,14 +226,11 @@ class DSERunner:
         reduction reproduces the shared-reference scoring.
         """
         from repro.campaign import GraphRunner, dse_compare_graph
-        from repro.resilience import BackoffPolicy, coerce_resilience
+        from repro.resilience import BackoffPolicy
 
-        resolved = coerce_resilience(
-            resilience, policy, caller="DSERunner.compare"
-        )
         backoff = (
-            resolved.backoff
-            if resolved is not None
+            resilience.backoff
+            if resilience is not None
             else BackoffPolicy(max_attempts=1)
         )
 

@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.errors import ValidationError
-from repro.perf import get_profiler
+from repro.obs.metrics import get_metrics
 
 
 def canonical_payload(
@@ -261,15 +261,15 @@ class ResultCache:
 
         Hits refresh the entry's LRU position.  Values are deep-copied
         on the way out so callers cannot mutate the store.  When the
-        default profiler is enabled, lookups are timed separately as
-        ``cache.get.hit`` / ``cache.get.miss``.
+        metrics registry is enabled, lookups are timed into the
+        ``cache.get.hit`` / ``cache.get.miss`` histograms.
         """
-        profiler = get_profiler()
-        if not profiler.enabled:
+        registry = get_metrics()
+        if not registry.enabled:
             return self._get(key)
         start = time.perf_counter()
         value = self._get(key)
-        profiler.record(
+        registry.observe(
             "cache.get.hit" if value is not None else "cache.get.miss",
             time.perf_counter() - start,
         )
@@ -285,12 +285,12 @@ class ResultCache:
 
     def put(self, key: str, value: Any) -> None:
         """Store *value* under *key*, evicting LRU entries as needed."""
-        profiler = get_profiler()
-        if not profiler.enabled:
+        registry = get_metrics()
+        if not registry.enabled:
             return self._put(key, value)
         start = time.perf_counter()
         self._put(key, value)
-        profiler.record("cache.put", time.perf_counter() - start)
+        registry.observe("cache.put", time.perf_counter() - start)
 
     def _put(self, key: str, value: Any) -> None:
         self._records[key] = copy.deepcopy(value)

@@ -69,7 +69,7 @@ from repro.exec.shm import (
     ShmFunction,
     payload_bytes,
 )
-from repro.perf import profiled
+from repro.obs.trace import profiled
 
 _MODES = ("process", "thread", "serial")
 _TRANSPORTS = ("auto", "pickle", "shm")

@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.errors import StateError, ValidationError
-from repro.perf import get_profiler
+from repro.obs.metrics import get_metrics
 
 #: Default auto-transport threshold: arrays at or above this many bytes
 #: are worth a shared-memory hop instead of a pickle copy.
@@ -183,8 +183,8 @@ class ShmArena:
             raise ValidationError(
                 "empty or object-dtype arrays cannot ride shared memory"
             )
-        profiler = get_profiler()
-        start = time.perf_counter() if profiler.enabled else 0.0
+        registry = get_metrics()
+        start = time.perf_counter() if registry.enabled else 0.0
         with self._lock:
             if self._closed:
                 raise StateError("arena is closed")
@@ -203,9 +203,9 @@ class ShmArena:
             segment.refcount += 1
             self._bytes_leased += segment.descriptor.nbytes
             descriptor = segment.descriptor
-        if profiler.enabled:
-            profiler.record("shm.register", time.perf_counter() - start)
-            profiler.count("shm.bytes_leased", descriptor.nbytes)
+        if registry.enabled:
+            registry.observe("shm.register", time.perf_counter() - start)
+            registry.inc("shm.bytes_leased", descriptor.nbytes)
         return descriptor
 
     def _create_segment(self, arr: np.ndarray, digest: str) -> _Segment:
@@ -290,11 +290,11 @@ class ShmArena:
         holds a large array.
         """
         leases: List[str] = []
-        profiler = get_profiler()
-        start = time.perf_counter() if profiler.enabled else 0.0
+        registry = get_metrics()
+        start = time.perf_counter() if registry.enabled else 0.0
         encoded = self._encode(obj, threshold, leases)
-        if profiler.enabled and leases:
-            profiler.record("shm.encode", time.perf_counter() - start)
+        if registry.enabled and leases:
+            registry.observe("shm.encode", time.perf_counter() - start)
         return encoded, leases
 
     def _encode(self, obj: Any, threshold: int, leases: List[str]) -> Any:
@@ -388,8 +388,8 @@ def attach_view(descriptor: ShmDescriptor) -> np.ndarray:
     not an mmap.  Read-only because the segment is shared by every
     worker: a kernel that wants scratch space copies explicitly.
     """
-    profiler = get_profiler()
-    start = time.perf_counter() if profiler.enabled else 0.0
+    registry = get_metrics()
+    start = time.perf_counter() if registry.enabled else 0.0
     with _ATTACH_LOCK:
         cached = _ATTACHMENTS.get(descriptor.name)
         if cached is not None:
@@ -408,8 +408,8 @@ def attach_view(descriptor: ShmDescriptor) -> np.ndarray:
             _ATTACHMENTS[descriptor.name] = (shm, base)
             while len(_ATTACHMENTS) > MAX_ATTACHMENTS:
                 _evict_oldest_attachment()
-    if profiler.enabled:
-        profiler.record("shm.attach", time.perf_counter() - start)
+    if registry.enabled:
+        registry.observe("shm.attach", time.perf_counter() - start)
     view = base.view()
     view.flags.writeable = False
     return view

@@ -294,7 +294,6 @@ def run_resilient_campaign(
     devices: Tuple[ComputeDevice, ...] = DEFAULT_DEVICES,
     storage_tiers: Tuple[StorageDevice, ...] = DEFAULT_STORAGE,
     injector: Optional["FaultInjector"] = None,
-    policy: Optional["BackoffPolicy"] = None,
     checkpoint: Optional["CheckpointStore"] = None,
     parallel: EvaluatorLike = None,
     resilience: Optional["ResiliencePolicy"] = None,
@@ -304,8 +303,7 @@ def run_resilient_campaign(
     Each scheduled (device, storage, phase) cell runs through
     :func:`~repro.resilience.resilient_run`: transient storage faults
     injected by *injector* are retried under the bounded backoff of
-    *resilience* (a :class:`~repro.resilience.ResiliencePolicy`;
-    ``policy=BackoffPolicy(...)`` is the deprecated spelling); a cell
+    *resilience* (a :class:`~repro.resilience.ResiliencePolicy`); a cell
     that still fails is recorded as a
     :class:`~repro.core.errors.CampaignCellError` and the sweep
     continues.  Devices lost to dropout have their cells remapped to
@@ -330,18 +328,13 @@ def run_resilient_campaign(
     """
     from repro.campaign import GraphRunner, resilient_campaign_graph
     from repro.obs.ledger import get_ledger
-    from repro.resilience import FaultInjector, coerce_resilience
+    from repro.resilience import BackoffPolicy, FaultInjector
 
     ledger = get_ledger()
     injector = injector or FaultInjector()
-    resolved = coerce_resilience(
-        resilience, policy, caller="run_resilient_campaign"
+    backoff = (
+        resilience.backoff if resilience is not None else BackoffPolicy()
     )
-    backoff = resolved.backoff if resolved is not None else None
-    if backoff is None:
-        from repro.resilience import BackoffPolicy
-
-        backoff = BackoffPolicy()
 
     ledger.event(
         "run.started",

@@ -21,7 +21,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.hls.ir import DataflowGraph, OpKind
-from repro.perf import profiled
+from repro.obs.trace import profiled
 
 
 @dataclass

@@ -26,7 +26,7 @@ from repro.core.rng import SeedLike, make_rng
 from repro.imc.adc import ADCConfig, ConversionLedger, DACConfig
 from repro.imc.devices import DeviceParams, NVMDevice, RRAM_PARAMS
 from repro.imc.program_verify import program_and_verify
-from repro.perf import profiled
+from repro.obs.trace import profiled
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ boolean check on every hot path):
 
 - :mod:`repro.obs.trace` -- deterministic end-to-end request traces
   with explicit context propagation across thread and process
-  boundaries, exported as JSONL or Chrome ``trace_event`` JSON;
+  boundaries, exported as JSONL or Chrome ``trace_event`` JSON; the
+  :func:`profiled` kernel decorator opens its spans;
 - :mod:`repro.obs.metrics` -- process-wide Counter/Gauge/Histogram
-  registry with mergeable fixed-bucket histograms, absorbing the
-  serve/perf/cache metric stores behind one ``snapshot()``, with
-  Prometheus text exposition;
+  registry with mergeable fixed-bucket histograms (serve counters,
+  cache/shm/jit timings) behind one ``snapshot()``, with Prometheus
+  text exposition;
 - :mod:`repro.obs.ledger` -- append-only event log keyed by trace id
   (run/fault/retry/cache/admission/checkpoint events), with watcher
   hooks for crash-triggered consumers.
@@ -81,12 +82,12 @@ from repro.obs.trace import (
     enable_tracing,
     get_tracer,
     load_trace_jsonl,
+    profiled,
 )
 
 
 def enable() -> None:
-    """Turn on all three pillars (tracing + perf span bridge, metrics,
-    ledger)."""
+    """Turn on all three pillars (tracing, metrics, ledger)."""
     enable_tracing()
     enable_metrics()
     enable_ledger()
@@ -136,6 +137,7 @@ __all__ = [
     "load_ledger_jsonl",
     "load_trace_jsonl",
     "percentile",
+    "profiled",
     "prometheus_text",
     "render_summary",
     "render_top",

@@ -1,10 +1,13 @@
 """Unified Counter/Gauge/Histogram registry for the whole suite.
 
-Before this module, the suite kept three disconnected, differently
-shaped metric stores: :class:`repro.serve.ServiceMetrics` (raw latency
-samples + hand-rolled percentiles), :class:`repro.perf.Profiler`
-(timer/counter tree) and :class:`repro.exec.ResultCache` (hit/miss
-dict).  ``MetricsRegistry`` gives them one spine:
+One process-wide store for every number that is not a trace span:
+serve request/batch counters, circuit-breaker transitions, and the
+timings measured before their label is known (``cache.get.hit`` /
+``cache.get.miss`` / ``cache.put``, ``shm.*``, ``jit.compile/<label>``)
+plus counters such as ``jit.fallback``.  Kernel timings are spans (see
+:func:`repro.obs.trace.profiled`); ``repro profile`` renders both
+stores.  :class:`repro.serve.ServiceMetrics` keeps its own exact
+per-service percentiles and mirrors its recordings here.
 
 - **Counter** -- monotonically increasing count (requests served,
   cache hits, retries);
@@ -16,11 +19,10 @@ dict).  ``MetricsRegistry`` gives them one spine:
   stores lack.  Percentiles come from
   :func:`repro.obs.stats.bucket_percentile`.
 
-The registry follows the :mod:`repro.perf` enablement policy: disabled
-by default, and every record path checks a single boolean before doing
-any work.  ``snapshot()``/``to_json()`` give one export surface;
-``merge_snapshot()`` folds a worker snapshot in; ``absorb_profiler``
-and ``absorb_cache`` pull the legacy stores into the same namespace.
+The registry is disabled by default, and every record path checks a
+single boolean before doing any work.  ``snapshot()``/``to_json()``
+give one export surface; ``merge_snapshot()`` folds a worker snapshot
+in.
 """
 
 from __future__ import annotations
@@ -237,32 +239,6 @@ class MetricsRegistry:
         if not self.enabled:
             return
         self.histogram(name).observe(value)
-
-    # --------------------------------------------------------- absorption
-
-    def absorb_profiler(self, profiler: Any, prefix: str = "perf") -> None:
-        """Fold a :class:`repro.perf.Profiler` into the registry:
-        timers become histograms (every recorded duration re-observed
-        is unavailable, so total/count/min/max fold into a counter pair
-        plus a histogram of means is lossy -- instead timers map to
-        ``<prefix>.<label>`` counters for calls and total seconds),
-        counters map one-to-one."""
-        snap = profiler.as_dict()
-        for label, stat in snap.get("timers", {}).items():
-            self.counter(f"{prefix}.{label}.calls").inc(stat["calls"])
-            self.counter(f"{prefix}.{label}.total_s").inc(stat["total_s"])
-        for label, value in snap.get("counters", {}).items():
-            self.counter(f"{prefix}.{label}").inc(value)
-
-    def absorb_cache(self, cache: Any, prefix: str = "cache") -> None:
-        """Fold :meth:`repro.exec.ResultCache.stats` counters in."""
-        for key, value in cache.stats().items():
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ):
-                continue
-            if value >= 0:
-                self.counter(f"{prefix}.{key}").inc(value)
 
     # ------------------------------------------------------------- export
 

@@ -1,14 +1,17 @@
-"""Human-readable views over traces and the run ledger.
+"""Human-readable views over traces, the run ledger and the metrics
+registry.
 
 Backs the ``repro obs`` CLI: ``show <trace_id>`` renders one trace as
 an indented span tree (durations, status, attributes) followed by the
 trace's ledger events; ``summary`` aggregates span durations by name
 across all traces through the shared :func:`repro.obs.stats.summary`.
+Backs ``repro profile`` too: :func:`render_profile` aggregates spans by
+name path and appends the registry's histograms and counters.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.obs.stats import summary
 
@@ -127,6 +130,73 @@ def render_summary(
     return "\n".join(lines)
 
 
+def span_path_totals(
+    spans: Sequence[Mapping[str, Any]],
+) -> Dict[str, Dict[str, float]]:
+    """Span durations aggregated by name path (``root/child/...``):
+    calls, total, mean and max seconds per path, sorted by path."""
+    by_id = {(s["trace_id"], s["span_id"]): s for s in spans}
+    paths: Dict[Tuple[str, str], str] = {}
+
+    def path_of(span: Mapping[str, Any]) -> str:
+        key = (span["trace_id"], span["span_id"])
+        if key not in paths:
+            parent = by_id.get(
+                (span["trace_id"], span.get("parent_id") or "")
+            )
+            name = str(span["name"])
+            paths[key] = (
+                name if parent is None else f"{path_of(parent)}/{name}"
+            )
+        return paths[key]
+
+    totals: Dict[str, Dict[str, float]] = {}
+    for span in spans:
+        duration = float(span.get("duration_s", 0.0))
+        entry = totals.setdefault(
+            path_of(span), {"calls": 0, "total_s": 0.0, "max_s": 0.0}
+        )
+        entry["calls"] += 1
+        entry["total_s"] += duration
+        entry["max_s"] = max(entry["max_s"], duration)
+    for entry in totals.values():
+        entry["mean_s"] = entry["total_s"] / entry["calls"]
+    return dict(sorted(totals.items()))
+
+
+def render_profile(
+    spans: Sequence[Mapping[str, Any]], snapshot: Mapping[str, Any]
+) -> str:
+    """The ``repro profile`` table: one row per span name path
+    (indented by depth), then one row per registry histogram, then the
+    registry's counters."""
+    rows = [("timer", "calls", "total (s)", "mean (s)", "max (s)")]
+    for path, stat in span_path_totals(spans).items():
+        label = "  " * path.count("/") + path.rsplit("/", 1)[-1]
+        rows.append((label, str(stat["calls"]), f"{stat['total_s']:.6f}",
+                     f"{stat['mean_s']:.6f}", f"{stat['max_s']:.6f}"))
+    for name, hist in snapshot.get("histograms", {}).items():
+        rows.append((name, str(hist["count"]), f"{hist['sum']:.6f}",
+                     f"{hist['mean']:.6f}", f"{hist['max'] or 0.0:.6f}"))
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    title = "profile: repro"
+    lines = [title, "-" * len(title)]
+    for idx, row in enumerate(rows):
+        lines.append("  ".join(
+            cell.ljust(w) if i == 0 else cell.rjust(w)
+            for i, (cell, w) in enumerate(zip(row, widths))
+        ))
+        if idx == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    counters = snapshot.get("counters", {})
+    if counters:
+        lines.extend(["", "counters:"])
+        lines.extend(
+            f"  {name}: {value:.15g}" for name, value in counters.items()
+        )
+    return "\n".join(lines)
+
+
 def render_top(
     report: Mapping[str, Any],
     samples: Sequence[Mapping[str, Any]] = (),
@@ -199,9 +269,11 @@ def select_trace(
 
 
 __all__: List[str] = [
+    "render_profile",
     "render_summary",
     "render_top",
     "render_trace",
     "select_trace",
+    "span_path_totals",
     "summarize_spans",
 ]

@@ -17,8 +17,13 @@ wall-clock-only tracing:
   them.  A span created inside a process-pool worker therefore gets the
   *same* id it would get in a serial run, which is what lets traces be
   compared across execution modes at all;
-- **near-zero disabled cost** -- every hook first checks one boolean
-  (the :mod:`repro.perf` policy); the global tracer starts disabled.
+- **near-zero disabled cost** -- every hook first checks one boolean;
+  the global tracer starts disabled.
+
+:func:`profiled` is the kernel instrumentation point: a decorated
+kernel opens a span named after it whenever the tracer is on and the
+calling thread has an active trace context, so kernel time shows up
+inside request traces and in the ``repro profile`` span tree.
 
 Exports: newline-delimited JSON (one span record per line, loadable by
 :func:`load_trace_jsonl`) and the Chrome ``trace_event`` format --
@@ -28,6 +33,7 @@ write :meth:`Tracer.to_chrome` to a file and open it in
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import threading
@@ -37,6 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -435,7 +442,7 @@ class Tracer:
         No active context (or a disabled tracer) means no span -- the
         body still runs, the hook costs one boolean check.  The span is
         pushed as the active context, so nested ``span()`` calls (and
-        bridged :mod:`repro.perf` kernel timers) become its children.
+        :func:`profiled` kernels) become its children.
         """
         if not self.enabled:
             yield None
@@ -615,26 +622,42 @@ def get_tracer() -> Tracer:
 
 
 def enable_tracing() -> Tracer:
-    """Enable the tracer and bridge :mod:`repro.perf` timers to spans.
-
-    After this, every ``@profiled`` kernel timer that fires under an
-    active trace context also emits a child span with the same label --
-    which is how kernel timings show up inside request traces without
-    instrumenting the kernels twice.
-    """
-    from repro.perf.profiler import set_span_hook
-
+    """Enable the process-wide tracer (idempotent)."""
     _TRACER.enable()
-    set_span_hook(lambda label: _TRACER.span(label))
     return _TRACER
 
 
 def disable_tracing() -> Tracer:
-    from repro.perf.profiler import set_span_hook
-
     _TRACER.disable()
-    set_span_hook(None)
     return _TRACER
+
+
+def profiled(name: Optional[str] = None) -> Callable:
+    """Decorator: run every call of the wrapped function inside a span
+    named *name* (default ``module.qualname``).
+
+    The span opens only when the process-wide tracer is enabled and the
+    calling thread has an active trace context; otherwise the wrapper
+    costs one ``enabled`` flag read per call.  The flag is read at call
+    time, so a worker process that enables its tracer per task (the
+    :class:`~repro.exec.ParallelEvaluator` envelope) traces its kernels
+    no matter when it was forked.
+    """
+
+    def decorate(fn: Callable) -> Callable:
+        label = name or f"{fn.__module__.split('.')[-1]}.{fn.__qualname__}"
+
+        @functools.wraps(fn)
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            if not _TRACER.enabled:
+                return fn(*args, **kwargs)
+            with _TRACER.span(label):
+                return fn(*args, **kwargs)
+
+        wrapper.__profiled_name__ = label
+        return wrapper
+
+    return decorate
 
 
 __all__ = [
@@ -650,4 +673,5 @@ __all__ = [
     "enable_tracing",
     "get_tracer",
     "load_trace_jsonl",
+    "profiled",
 ]

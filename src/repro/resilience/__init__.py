@@ -36,7 +36,7 @@ from repro.resilience.breaker import (
 from repro.resilience.chaos import ChaosEvent, ChaosPolicy
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import FaultInjector, FaultModel, FaultyStorage
-from repro.resilience.policy import ResiliencePolicy, coerce_resilience
+from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.retry import (
     BackoffPolicy,
     Deadline,
@@ -57,6 +57,5 @@ __all__ = [
     "FaultyStorage",
     "ResiliencePolicy",
     "RunOutcome",
-    "coerce_resilience",
     "resilient_run",
 ]

@@ -7,8 +7,7 @@ Retry behaviour used to be configured by passing a bare
 graph needs beyond in-place retry: re-running a failed node with a
 perturbed seed, or falling back to a different kernel implementation.
 :class:`ResiliencePolicy` bundles all of it into one value object that
-every graph node -- and, through deprecation shims, every legacy entry
-point -- accepts.
+every graph node and every campaign entry point accepts.
 """
 
 from __future__ import annotations
@@ -69,33 +68,3 @@ class ResiliencePolicy:
             seed_step=int(payload.get("seed_step", 1)),
             fallback_impl=payload.get("fallback_impl"),
         )
-
-
-def coerce_resilience(
-    resilience: Optional[ResiliencePolicy],
-    policy: Optional[BackoffPolicy],
-    *,
-    caller: str,
-) -> Optional[ResiliencePolicy]:
-    """Resolve the migration-era ``resilience=`` / ``policy=`` pair.
-
-    ``policy=`` (a bare :class:`BackoffPolicy`) is the deprecated
-    spelling; it still works, wrapped into a :class:`ResiliencePolicy`,
-    but warns.  Passing both is an error.
-    """
-    if policy is None:
-        return resilience
-    if resilience is not None:
-        raise ValidationError(
-            f"{caller} accepts either resilience= or the deprecated "
-            "policy=, not both"
-        )
-    import warnings
-
-    warnings.warn(
-        f"{caller}(policy=BackoffPolicy(...)) is deprecated; pass "
-        "resilience=ResiliencePolicy(backoff=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ResiliencePolicy(backoff=policy)

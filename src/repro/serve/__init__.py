@@ -51,7 +51,7 @@ from repro.serve.loadgen import (
     run_load,
     zipf_weights,
 )
-from repro.serve.metrics import ServiceMetrics, percentile
+from repro.serve.metrics import ServiceMetrics
 from repro.serve.request import (
     AdmissionRejected,
     EvalRequest,
@@ -78,7 +78,6 @@ __all__ = [
     "generate_requests",
     "incomplete_from_ledger",
     "load_requests",
-    "percentile",
     "run_chaos_campaign",
     "run_load",
     "serve_requests",

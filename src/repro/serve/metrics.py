@@ -8,8 +8,7 @@ batch occupancy, cache-hit ratio, rejection and dedup accounting.
 
 The percentile/summary math lives in :mod:`repro.obs.stats` (one
 implementation for serve, the load generator, the benches and the
-``repro obs`` reports); ``percentile`` is re-exported here for
-compatibility with pre-:mod:`repro.obs` callers.  When the process-wide
+``repro obs`` reports).  When the process-wide
 :class:`repro.obs.MetricsRegistry` is enabled, every recording also
 feeds its counters/histograms, so the unified ``snapshot()`` covers the
 service too.
@@ -23,7 +22,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import get_metrics
-from repro.obs.stats import percentile, summary as _summary
+from repro.obs.stats import summary as _summary
 
 #: Cap on retained per-request samples; beyond it the reservoir keeps
 #: the most recent window so snapshots stay O(bounded) in a long-lived

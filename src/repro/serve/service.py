@@ -38,7 +38,6 @@ from repro.exec import ParallelEvaluator, coerce_cache
 from repro.exec.parallel import CacheLike, EvaluatorLike, make_evaluator
 from repro.obs.ledger import get_ledger
 from repro.obs.trace import TraceContext, derive_trace_id, get_tracer
-from repro.perf import get_profiler
 from repro.resilience import BackoffPolicy, Deadline, resilient_run
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.request import AdmissionRejected, EvalRequest
@@ -102,7 +101,7 @@ def _evaluate_request_task(task: Tuple) -> Dict[str, Any]:
     from repro.obs.ledger import get_ledger
     from repro.obs.trace import TraceContext, enable_tracing, get_tracer
 
-    tracer = enable_tracing()  # idempotent; installs the perf bridge
+    tracer = enable_tracing()  # idempotent
     ledger = get_ledger()
     if wire.get("ledger"):
         ledger.enable()
@@ -625,10 +624,8 @@ class EvaluationService:
         return batch_spans, wires, batch_trace_ids
 
     def _run_batch(self, batch: List[Tuple]) -> None:
-        profiler = get_profiler()
         tracer = get_tracer()
         ledger = get_ledger()
-        start = time.perf_counter()
         batch_spans, wires, batch_trace_ids = self._open_batch_spans(batch)
         tasks = [
             (
@@ -734,9 +731,6 @@ class EvaluationService:
             deduped=max(0, len(batch) - computed - cache_hits),
             retries=retries,
         )
-        if profiler.enabled:
-            profiler.record("serve.batch", time.perf_counter() - start)
-            profiler.count("serve.batch.requests", len(batch))
         with self._lock:
             self._pending = max(0, self._pending - len(batch))
             if self._pending == 0:

@@ -16,7 +16,7 @@ from typing import Deque, List, Optional, Sequence
 
 from repro.core.errors import SimulationTimeout, ValidationError
 from repro.core.jit import resolve_impl
-from repro.perf import profiled
+from repro.obs.trace import profiled
 from repro.sparta.accelerator import AcceleratorLane, LaneConfig
 from repro.sparta.noc import CrossbarNoc, NocConfig
 from repro.sparta.openmp import ParallelForRegion

@@ -31,7 +31,6 @@ from repro.resilience import (
     BackoffPolicy,
     CheckpointStore,
     ResiliencePolicy,
-    coerce_resilience,
 )
 
 
@@ -302,19 +301,6 @@ class TestResiliencePolicy:
         )
         assert ResiliencePolicy.from_json(policy.to_json()) == policy
 
-    def test_coerce_rejects_both_spellings(self):
-        with pytest.raises(ValidationError, match="not both"):
-            coerce_resilience(
-                ResiliencePolicy(), BackoffPolicy(), caller="f"
-            )
-
-    def test_coerce_warns_on_deprecated_policy(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            resolved = coerce_resilience(
-                None, BackoffPolicy(max_attempts=7), caller="f"
-            )
-        assert resolved.backoff.max_attempts == 7
-
 
 # ------------------------------------------------------ checkpoint/resume
 
@@ -554,24 +540,23 @@ class TestWrapperEquivalence:
                 FaultModel(storage_transient_rate=0.3), seed=7
             )
 
-        new = run_resilient_campaign(
-            workload,
-            injector=fresh_injector(),
-            resilience=ResiliencePolicy(backoff=backoff),
-        )
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            old = run_resilient_campaign(
-                workload, injector=fresh_injector(), policy=backoff
-            )
-        assert old.cells == new.cells
-        assert [str(e) for e in old.errors] == [str(e) for e in new.errors]
-        assert old.total_backoff_s == new.total_backoff_s
-        with pytest.raises(ValidationError, match="not both"):
-            run_resilient_campaign(
+        def run():
+            return run_resilient_campaign(
                 workload,
                 injector=fresh_injector(),
-                policy=backoff,
                 resilience=ResiliencePolicy(backoff=backoff),
+            )
+
+        first, second = run(), run()
+        assert first.cells == second.cells
+        assert [str(e) for e in first.errors] == [
+            str(e) for e in second.errors
+        ]
+        assert first.total_backoff_s == second.total_backoff_s
+        # The bare policy= spelling is gone, not silently ignored.
+        with pytest.raises(TypeError):
+            run_resilient_campaign(
+                workload, injector=fresh_injector(), policy=backoff
             )
 
     def test_dse_compare_matches_inline_scoring(self):

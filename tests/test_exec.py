@@ -244,6 +244,58 @@ class TestResultCache:
             ResultCache(flush_every=0)
 
 
+class TestDigestMemo:
+    def test_memo_hits_and_time_saved(self):
+        from dataclasses import dataclass
+
+        from repro.exec import ResultCache, config_digest
+
+        @dataclass(frozen=True)
+        class Spec:
+            value: int
+
+        cache = ResultCache()
+        spec = Spec(3)
+        first = cache.digest(spec)
+        second = cache.digest(spec)
+        assert first == second == config_digest(spec)
+        stats = cache.stats()
+        assert stats["digest_memo_hits"] == 1
+        assert stats["digest_time_saved_s"] > 0
+
+    def test_mutable_objects_bypass_memo(self):
+        from repro.exec import ResultCache, config_digest
+
+        cache = ResultCache()
+        payload = {"a": 1}
+        assert cache.digest(payload) == config_digest(payload)
+        payload["a"] = 2
+        assert cache.digest(payload) == config_digest(payload)
+        assert cache.stats()["digest_memo_hits"] == 0
+
+    def test_memo_capacity_bounded(self):
+        from dataclasses import dataclass
+
+        from repro.exec import ResultCache
+
+        @dataclass(frozen=True)
+        class Spec:
+            value: int
+
+        cache = ResultCache(digest_memo_size=2)
+        specs = [Spec(i) for i in range(5)]
+        for spec in specs:
+            cache.digest(spec)
+        assert len(cache._digest_memo) == 2
+
+    def test_bad_capacity_rejected(self):
+        from repro.core.errors import ValidationError
+        from repro.exec import ResultCache
+
+        with pytest.raises(ValidationError):
+            ResultCache(digest_memo_size=0)
+
+
 class TestParallelEvaluator:
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     def test_map_preserves_order(self, mode):

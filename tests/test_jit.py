@@ -20,7 +20,7 @@ from repro.core.jit import njit, numba_available, resolve_impl, timed_first_call
 from repro.dna.clustering import cluster_reads
 from repro.dna.editdistance import CellUpdateCounter, levenshtein_banded
 from repro.dna.jitkernels import banded_kernel
-from repro.perf import get_profiler
+from repro.obs.metrics import get_metrics
 from repro.sparta.accelerator import LaneConfig
 from repro.sparta.jitsim import run_jit
 from repro.sparta.kernels import bfs_tasks, random_graph, streaming_tasks
@@ -63,23 +63,24 @@ class TestTierSwitch:
         assert resolve_impl("numpy") == "numpy"
 
     def test_resolve_impl_falls_back_and_counts(self, numba_absent):
-        profiler = get_profiler()
-        profiler.enable()
-        profiler.reset()
+        registry = get_metrics()
+        registry.enable()
+        registry.reset()
         try:
             assert resolve_impl("jit") == "numpy"
             assert resolve_impl("jit", fallback="scalar") == "scalar"
-            assert profiler.as_dict()["counters"]["jit.fallback"] == 2
+            assert registry.snapshot()["counters"]["jit.fallback"] == 2
         finally:
-            profiler.disable()
+            registry.disable()
+            registry.reset()
 
     def test_resolve_impl_keeps_jit_when_available(self, numba_present):
         assert resolve_impl("jit") == "jit"
 
     def test_timed_first_call_charges_compile_timer(self):
-        profiler = get_profiler()
-        profiler.enable()
-        profiler.reset()
+        registry = get_metrics()
+        registry.enable()
+        registry.reset()
         try:
             calls = []
 
@@ -90,11 +91,12 @@ class TestTierSwitch:
 
             assert kernel(3) == 6
             assert kernel(4) == 8
-            timers = profiler.as_dict()["timers"]
-            assert timers["jit.compile/test-kernel"]["calls"] == 1
+            histograms = registry.snapshot()["histograms"]
+            assert histograms["jit.compile/test-kernel"]["count"] == 1
             assert calls == [3, 4]
         finally:
-            profiler.disable()
+            registry.disable()
+            registry.reset()
 
 
 def _kernel_banded(a: str, b: str, band: int, counter: CellUpdateCounter):

@@ -1,401 +1,138 @@
-"""Tests for the :mod:`repro.perf` profiling layer and its wiring."""
-
-import json
-import threading
-import time
+"""Tests for profiling as a view over :mod:`repro.obs`: ``@profiled``
+kernel spans, the cache timing histograms, and the ``repro profile``
+CLI that renders both stores."""
 
 import pytest
 
-from repro.perf import (
-    Profiler,
-    TimerStat,
-    disable_profiling,
-    enable_profiling,
-    get_profiler,
-    profiled,
-)
+from repro import obs
+from repro.obs.report import render_profile, span_path_totals
+from repro.obs.trace import derive_trace_id, get_tracer, profiled
 
 
-class TestTimerStat:
-    def test_accumulates(self):
-        stat = TimerStat()
-        stat.record(0.5)
-        stat.record(1.5)
-        assert stat.calls == 2
-        assert stat.total_s == 2.0
-        assert stat.mean_s == 1.0
-        assert stat.min_s == 0.5
-        assert stat.max_s == 1.5
-
-    def test_empty_as_dict_is_finite(self):
-        snapshot = TimerStat().as_dict()
-        assert snapshot["calls"] == 0
-        assert snapshot["min_s"] == 0.0
-        assert snapshot["mean_s"] == 0.0
+@pytest.fixture(autouse=True)
+def _clean_obs():
+    obs.disable()
+    get_tracer().reset()
+    obs.get_metrics().reset()
+    yield
+    obs.disable()
+    get_tracer().reset()
+    obs.get_metrics().reset()
 
 
-class TestProfiler:
-    def test_timer_records(self):
-        profiler = Profiler("t")
-        with profiler.timer("work"):
-            time.sleep(0.001)
-        snapshot = profiler.as_dict()
-        assert snapshot["timers"]["work"]["calls"] == 1
-        assert snapshot["timers"]["work"]["total_s"] > 0
-
-    def test_nested_paths(self):
-        profiler = Profiler("t")
-        with profiler.timer("outer"):
-            with profiler.timer("inner"):
-                pass
-        timers = profiler.as_dict()["timers"]
-        assert set(timers) == {"outer", "outer/inner"}
-
-    def test_disabled_costs_nothing_and_records_nothing(self):
-        profiler = Profiler("t", enabled=False)
-        with profiler.timer("work"):
-            pass
-        profiler.count("events")
-        profiler.record("late", 1.0)
-        snapshot = profiler.as_dict()
-        assert snapshot["timers"] == {}
-        assert snapshot["counters"] == {}
-
-    def test_counters(self):
-        profiler = Profiler("t")
-        profiler.count("hits")
-        profiler.count("hits", 4)
-        assert profiler.as_dict()["counters"]["hits"] == 5
-
-    def test_record_respects_nesting(self):
-        profiler = Profiler("t")
-        with profiler.timer("outer"):
-            profiler.record("measured", 0.25)
-        timers = profiler.as_dict()["timers"]
-        assert timers["outer/measured"]["total_s"] == 0.25
-
-    def test_reset_keeps_enabled_state(self):
-        profiler = Profiler("t")
-        with profiler.timer("work"):
-            pass
-        profiler.reset()
-        assert profiler.as_dict()["timers"] == {}
-        assert profiler.enabled
-
-    def test_as_json_round_trips(self):
-        profiler = Profiler("t")
-        with profiler.timer("work"):
-            pass
-        payload = json.loads(profiler.as_json())
-        assert payload["name"] == "t"
-        assert "work" in payload["timers"]
-
-    def test_render_table_indents_and_lists_counters(self):
-        profiler = Profiler("demo")
-        with profiler.timer("outer"):
-            with profiler.timer("inner"):
-                pass
-        profiler.count("cache.hits", 3)
-        text = profiler.render_table()
-        assert "profile: demo" in text
-        assert "outer" in text
-        assert "  inner" in text
-        assert "cache.hits: 3" in text
-
-    def test_thread_local_nesting(self):
-        profiler = Profiler("t")
-        seen = []
-
-        def worker():
-            with profiler.timer("child"):
-                pass
-            seen.append(True)
-
-        with profiler.timer("parent"):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        timers = profiler.as_dict()["timers"]
-        # The other thread has its own stack: no parent/child path.
-        assert "child" in timers
-        assert "parent/child" not in timers
-        assert seen == [True]
-
-
-class TestRegistry:
-    def test_default_profiler_starts_disabled(self):
-        assert not get_profiler("fresh-default-check").enabled
-
-    def test_named_singletons(self):
-        assert get_profiler("alpha") is get_profiler("alpha")
-        assert get_profiler("alpha") is not get_profiler("beta")
-
-    def test_enable_disable_helpers(self):
-        profiler = enable_profiling("toggled")
-        assert profiler.enabled
-        assert disable_profiling("toggled") is profiler
-        assert not profiler.enabled
-
-    def test_concurrent_get_profiler_is_a_singleton(self):
-        """Racing first-access from many threads must not mint two
-        profilers for one name (the double-checked registry lock)."""
-        name = "concurrent-registry-check"
-        barrier = threading.Barrier(8)
-        seen = []
-
-        def grab():
-            barrier.wait()
-            seen.append(get_profiler(name))
-
-        threads = [threading.Thread(target=grab) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(seen) == 8
-        assert all(p is seen[0] for p in seen)
-
-    def test_concurrent_recording_is_consistent(self):
-        profiler = enable_profiling("concurrent-recording")
-        profiler.reset()
-        try:
-            def work():
-                for _ in range(50):
-                    with profiler.timer("op"):
-                        pass
-                    profiler.count("ops", 1)
-
-            threads = [
-                threading.Thread(target=work) for _ in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            snap = profiler.as_dict()
-            assert snap["timers"]["op"]["calls"] == 200
-            assert snap["counters"]["ops"] == 200
-        finally:
-            disable_profiling("concurrent-recording")
-
-
-class TestSpanHook:
-    def test_profiled_emits_spans_even_when_profiler_disabled(self):
-        """The perf->span bridge fires on the hook alone, so kernel
-        spans appear in traces without enabling the profiler."""
-        from repro import obs
-        from repro.obs.trace import derive_trace_id, get_tracer
-
-        profiler = Profiler("hook-test", enabled=False)
-
-        @profiled("hooked.kernel", profiler=profiler)
-        def sample():
-            return 7
-
-        tracer = obs.enable_tracing()
-        tracer.reset()
-        try:
-            tid = derive_trace_id("hook-test", 0)
-            root = tracer.start_span("r", trace_id=tid, parent_id="")
-            with tracer.activate(root.context):
-                assert sample() == 7
-            tracer.end_span(root)
-            names = [s["name"] for s in tracer.spans()]
-            assert "hooked.kernel" in names
-            assert profiler.as_dict()["timers"] == {}
-        finally:
-            obs.disable_tracing()
-            get_tracer().reset()
-
-    def test_hook_and_profiler_record_together(self):
-        from repro import obs
-        from repro.obs.trace import derive_trace_id, get_tracer
-
-        profiler = Profiler("hook-both", enabled=True)
-
-        @profiled("both.kernel", profiler=profiler)
-        def sample():
-            return 7
-
-        tracer = obs.enable_tracing()
-        tracer.reset()
-        try:
-            tid = derive_trace_id("hook-both", 0)
-            root = tracer.start_span("r", trace_id=tid, parent_id="")
-            with tracer.activate(root.context):
-                sample()
-            tracer.end_span(root)
-            assert "both.kernel" in [
-                s["name"] for s in tracer.spans()
-            ]
-            assert (
-                profiler.as_dict()["timers"]["both.kernel"]["calls"] == 1
-            )
-        finally:
-            obs.disable_tracing()
-            get_tracer().reset()
+def _traced_span_names(fn, *args):
+    """Run ``fn(*args)`` under a root span with tracing on; returns the
+    names of every recorded span."""
+    tracer = obs.enable_tracing()
+    root = tracer.start_span(
+        "root", trace_id=derive_trace_id("perf-test"), parent_id=""
+    )
+    with tracer.activate(root.context):
+        fn(*args)
+    tracer.end_span(root)
+    return [span["name"] for span in tracer.spans()]
 
 
 class TestProfiledDecorator:
     def test_records_under_default_label(self):
-        profiler = Profiler("t")
-
-        @profiled(profiler=profiler)
+        @profiled()
         def sample():
             return 42
 
-        assert sample() == 42
         label = sample.__profiled_name__
         assert label.endswith("sample")
-        assert profiler.as_dict()["timers"][label]["calls"] == 1
+        assert _traced_span_names(sample).count(label) == 1
 
     def test_explicit_label(self):
-        profiler = Profiler("t")
-
-        @profiled("custom.label", profiler=profiler)
+        @profiled("custom.label")
         def sample():
             return 1
 
-        sample()
-        assert "custom.label" in profiler.as_dict()["timers"]
+        assert "custom.label" in _traced_span_names(sample)
 
     def test_disabled_passthrough(self):
-        profiler = Profiler("t", enabled=False)
-
-        @profiled("x", profiler=profiler)
+        @profiled("x")
         def sample():
             return "ok"
 
         assert sample() == "ok"
-        assert profiler.as_dict()["timers"] == {}
-
-    def test_default_registry_resolved_at_call_time(self):
-        name = "call-time-resolution"
-
-        @profiled(name)
-        def sample():
-            return None
-
-        sample()  # default profiler disabled: nothing recorded
-        assert name not in get_profiler().as_dict()["timers"]
-        enable_profiling()
-        try:
-            sample()
-            assert get_profiler().as_dict()["timers"][name]["calls"] == 1
-        finally:
-            disable_profiling()
-            get_profiler().reset()
+        assert sample.__wrapped__() == "ok"
+        assert get_tracer().spans() == []
 
 
 class TestKernelInstrumentation:
     def test_kernels_report_when_enabled(self):
-        import numpy as np
-
         from repro.dna.editdistance import levenshtein_banded
         from repro.hls.ir import OpKind
         from repro.hls.kernels import _dot_body
         from repro.hls.scheduling import schedule_list
 
-        profiler = enable_profiling()
-        profiler.reset()
-        try:
+        def run():
             levenshtein_banded("ACGT", "ACGA", band=2)
             schedule_list(_dot_body(), {OpKind.MUL: 1})
-            timers = profiler.as_dict()["timers"]
-            assert timers["dna.levenshtein_banded"]["calls"] == 1
-            assert timers["hls.schedule_list"]["calls"] == 1
-            assert np is not None
-        finally:
-            disable_profiling()
-            profiler.reset()
+
+        names = _traced_span_names(run)
+        assert names.count("dna.levenshtein_banded") == 1
+        assert names.count("hls.schedule_list") == 1
 
     def test_cache_hit_miss_timers(self):
         from repro.exec import ResultCache
 
-        profiler = enable_profiling()
-        profiler.reset()
-        try:
-            cache = ResultCache()
-            cache.put("k", {"v": 1})
-            assert cache.get("k") == {"v": 1}
-            assert cache.get("absent") is None
-            timers = profiler.as_dict()["timers"]
-            assert timers["cache.put"]["calls"] == 1
-            assert timers["cache.get.hit"]["calls"] == 1
-            assert timers["cache.get.miss"]["calls"] == 1
-        finally:
-            disable_profiling()
-            profiler.reset()
+        cache = ResultCache()
+        cache.put("off", 0)
+        cache.get("off")
+        assert obs.get_metrics().snapshot()["histograms"] == {}
+        obs.enable_metrics()
+        cache.put("k", {"v": 1})
+        assert cache.get("k") == {"v": 1}
+        assert cache.get("absent") is None
+        histograms = obs.get_metrics().snapshot()["histograms"]
+        assert histograms["cache.put"]["count"] == 1
+        assert histograms["cache.get.hit"]["count"] == 1
+        assert histograms["cache.get.miss"]["count"] == 1
 
-    def test_evaluator_map_nests_cache_timers(self):
+    def test_evaluator_map_span_and_cache_histograms(self):
         from repro.exec import ParallelEvaluator, ResultCache
 
-        profiler = enable_profiling()
-        profiler.reset()
-        try:
-            engine = ParallelEvaluator(
-                max_workers=1, mode="serial", cache=ResultCache()
-            )
-            engine.map(lambda x: x * 2, [1, 2], keys=["a", "b"])
-            timers = profiler.as_dict()["timers"]
-            assert timers["exec.map"]["calls"] == 1
-            assert timers["exec.map/cache.get.miss"]["calls"] == 2
-            assert timers["exec.map/cache.put"]["calls"] == 2
-        finally:
-            disable_profiling()
-            profiler.reset()
+        obs.enable_metrics()
+        engine = ParallelEvaluator(
+            max_workers=1, mode="serial", cache=ResultCache()
+        )
+        names = _traced_span_names(
+            engine.map, lambda x: x * 2, [1, 2], ["a", "b"]
+        )
+        assert names.count("exec.map") == 1
+        histograms = obs.get_metrics().snapshot()["histograms"]
+        assert histograms["cache.get.miss"]["count"] == 2
+        assert histograms["cache.put"]["count"] == 2
 
 
-class TestDigestMemo:
-    def test_memo_hits_and_time_saved(self):
-        from dataclasses import dataclass
+class TestRenderProfile:
+    SPANS = [
+        {"trace_id": "t", "span_id": "r", "parent_id": "", "name": "demo",
+         "duration_s": 1.0},
+        {"trace_id": "t", "span_id": "a", "parent_id": "r",
+         "name": "kernel", "duration_s": 0.25},
+        {"trace_id": "t", "span_id": "b", "parent_id": "r",
+         "name": "kernel", "duration_s": 0.5},
+    ]
 
-        from repro.exec import ResultCache, config_digest
-
-        @dataclass(frozen=True)
-        class Spec:
-            value: int
-
-        cache = ResultCache()
-        spec = Spec(3)
-        first = cache.digest(spec)
-        second = cache.digest(spec)
-        assert first == second == config_digest(spec)
-        stats = cache.stats()
-        assert stats["digest_memo_hits"] == 1
-        assert stats["digest_time_saved_s"] > 0
-
-    def test_mutable_objects_bypass_memo(self):
-        from repro.exec import ResultCache, config_digest
-
-        cache = ResultCache()
-        payload = {"a": 1}
-        assert cache.digest(payload) == config_digest(payload)
-        payload["a"] = 2
-        assert cache.digest(payload) == config_digest(payload)
-        assert cache.stats()["digest_memo_hits"] == 0
-
-    def test_memo_capacity_bounded(self):
-        from dataclasses import dataclass
-
-        from repro.exec import ResultCache
-
-        @dataclass(frozen=True)
-        class Spec:
-            value: int
-
-        cache = ResultCache(digest_memo_size=2)
-        specs = [Spec(i) for i in range(5)]
-        for spec in specs:
-            cache.digest(spec)
-        assert len(cache._digest_memo) == 2
-
-    def test_bad_capacity_rejected(self):
-        from repro.core.errors import ValidationError
-        from repro.exec import ResultCache
-
-        with pytest.raises(ValidationError):
-            ResultCache(digest_memo_size=0)
+    def test_aggregates_span_paths_then_lists_histograms_and_counters(
+        self,
+    ):
+        totals = span_path_totals(self.SPANS)
+        assert list(totals) == ["demo", "demo/kernel"]
+        assert totals["demo/kernel"] == {
+            "calls": 2, "total_s": 0.75, "max_s": 0.5, "mean_s": 0.375,
+        }
+        registry = obs.MetricsRegistry(enabled=True)
+        registry.observe("cache.get.hit", 0.002)
+        registry.inc("shm.bytes_leased", 8388608)
+        text = render_profile(self.SPANS, registry.snapshot())
+        assert text.startswith("profile: repro")
+        assert "\n  kernel " in text
+        assert "cache.get.hit" in text
+        assert "shm.bytes_leased: 8388608" in text
 
 
 class TestProfileCli:
@@ -423,12 +160,25 @@ class TestProfileCli:
         assert "hls.schedule_list" in out
         assert "sparta.run" not in out
 
-    def test_profile_leaves_profiler_disabled(self, capsys):
+    def test_profile_leaves_tracer_and_metrics_disabled(self, capsys):
         from repro.cli import main
 
         main(["profile", "hls"])
         capsys.readouterr()
-        assert not get_profiler().enabled
+        assert not get_tracer().enabled
+        assert not obs.get_metrics().enabled
+
+    def test_failing_demo_still_disables_both(self, monkeypatch):
+        from repro import cli
+
+        def broken():
+            raise RuntimeError("demo failed")
+
+        monkeypatch.setitem(cli._PROFILE_DEMOS, "hls", broken)
+        with pytest.raises(RuntimeError):
+            cli.main(["profile", "hls"])
+        assert not get_tracer().enabled
+        assert not obs.get_metrics().enabled
 
     def test_demo_requires_profile(self):
         from repro.cli import main

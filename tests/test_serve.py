@@ -28,6 +28,7 @@ from repro.core.api import (
 )
 from repro.core.errors import TransientFault, ValidationError
 from repro.exec import ResultCache
+from repro.obs.stats import percentile
 from repro.resilience import BackoffPolicy
 from repro.serve import (
     AdmissionRejected,
@@ -36,7 +37,6 @@ from repro.serve import (
     config_pool,
     generate_requests,
     load_requests,
-    percentile,
     run_load,
     serve_requests,
     zipf_weights,

@@ -232,13 +232,6 @@ class TestRunResult:
         with pytest.raises(dataclasses.FrozenInstanceError):
             self._result().workload = "other"
 
-    def test_legacy_attribute_shim_warns(self):
-        result = self._result()
-        with pytest.warns(DeprecationWarning, match="metrics"):
-            assert result.cycles == 12
-        with pytest.warns(DeprecationWarning):
-            assert result.throughput == 3.5
-
     def test_legacy_shim_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             self._result().no_such_metric
