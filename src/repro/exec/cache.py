@@ -17,7 +17,9 @@ truncated store is *tolerated*: the cache starts empty and rebuilds
 rather than refusing to run, because a lost cache is a slowdown while a
 crashed campaign is a lost night.  Hit/miss/eviction counters are
 exposed via :meth:`ResultCache.stats` so benches can assert reuse
-instead of guessing at it.
+instead of guessing at it.  One cache may be shared by threads (a
+service's submitters read it while its dispatcher writes it): every
+operation runs under the cache's re-entrant :attr:`ResultCache.lock`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import enum
 import hashlib
 import json
 import os
+import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -200,6 +203,9 @@ class ResultCache:
     and dropped from the disk store at the next flush); ``None`` means
     unbounded.  ``flush_every`` batches disk writes exactly like
     :class:`~repro.resilience.checkpoint.CheckpointStore`.
+
+    Thread-safe: every operation holds :attr:`lock`, a re-entrant lock
+    a caller may also hold to make several calls one atomic step.
     """
 
     def __init__(
@@ -226,7 +232,17 @@ class ResultCache:
         self._memo_hits = 0
         self._ndarray_memo_hits = 0
         self._digest_time_saved_s = 0.0
+        self.lock = threading.RLock()
         self._records: "OrderedDict[str, Any]" = self._load()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self.lock = threading.RLock()
 
     def _load(self) -> "OrderedDict[str, Any]":
         if self.path is None or not self.path.exists():
@@ -276,12 +292,23 @@ class ResultCache:
         return value
 
     def _get(self, key: str) -> Optional[Any]:
-        if key in self._records:
+        with self.lock:
+            if key not in self._records:
+                self._misses += 1
+                return None
             self._records.move_to_end(key)
             self._hits += 1
-            return copy.deepcopy(self._records[key])
-        self._misses += 1
-        return None
+            value = self._records[key]
+        # Stored values are replaced, never mutated, so the copy needs
+        # no lock.
+        return copy.deepcopy(value)
+
+    def peek(self, key: str) -> Optional[Any]:
+        """The stored value for *key* (or ``None``) without counting a
+        lookup, refreshing its LRU position or copying it: a read-only
+        view the caller must not mutate."""
+        with self.lock:
+            return self._records.get(key)
 
     def put(self, key: str, value: Any) -> None:
         """Store *value* under *key*, evicting LRU entries as needed."""
@@ -293,32 +320,35 @@ class ResultCache:
         registry.observe("cache.put", time.perf_counter() - start)
 
     def _put(self, key: str, value: Any) -> None:
-        self._records[key] = copy.deepcopy(value)
-        self._records.move_to_end(key)
-        self._stores += 1
-        while (
-            self.max_entries is not None
-            and len(self._records) > self.max_entries
-        ):
-            self._records.popitem(last=False)
-            self._evictions += 1
-        if self.path is not None:
-            self._dirty += 1
-            if self._dirty >= self.flush_every:
-                self.flush()
+        value = copy.deepcopy(value)
+        with self.lock:
+            self._records[key] = value
+            self._records.move_to_end(key)
+            self._stores += 1
+            while (
+                self.max_entries is not None
+                and len(self._records) > self.max_entries
+            ):
+                self._records.popitem(last=False)
+                self._evictions += 1
+            if self.path is not None:
+                self._dirty += 1
+                if self._dirty >= self.flush_every:
+                    self.flush()
 
     def delete(self, key: str) -> bool:
         """Drop *key* if present (used by :mod:`repro.serve` to keep
         failed evaluations out of the store).  Returns whether the key
         existed; the disk store is rewritten at the next flush."""
-        if key not in self._records:
-            return False
-        del self._records[key]
-        if self.path is not None:
-            self._dirty += 1
-            if self._dirty >= self.flush_every:
-                self.flush()
-        return True
+        with self.lock:
+            if key not in self._records:
+                return False
+            del self._records[key]
+            if self.path is not None:
+                self._dirty += 1
+                if self._dirty >= self.flush_every:
+                    self.flush()
+            return True
 
     def digest(self, obj: Any) -> str:
         """:func:`config_digest` of *obj*, memoized by object identity.
@@ -334,18 +364,20 @@ class ResultCache:
         key = _memo_key(obj)
         if key is None:
             return config_digest(obj)
-        entry = self._digest_memo.lookup(key)
-        if entry is not None:
-            self._memo_hits += 1
-            if key[0] == "ndarray":
-                self._ndarray_memo_hits += 1
-            self._digest_time_saved_s += entry[2]
-            return entry[1]
+        with self.lock:
+            entry = self._digest_memo.lookup(key)
+            if entry is not None:
+                self._memo_hits += 1
+                if key[0] == "ndarray":
+                    self._ndarray_memo_hits += 1
+                self._digest_time_saved_s += entry[2]
+                return entry[1]
         start = time.perf_counter()
         digest = config_digest(obj)
-        self._digest_memo.store(
-            key, obj, digest, time.perf_counter() - start
-        )
+        with self.lock:
+            self._digest_memo.store(
+                key, obj, digest, time.perf_counter() - start
+            )
         return digest
 
     def get_or_compute(self, key: str, fn: Callable[[], Any]) -> Any:
@@ -359,42 +391,52 @@ class ResultCache:
 
     def stats(self) -> Dict[str, Any]:
         """Hit/miss/eviction accounting for benches and CI assertions."""
-        lookups = self._hits + self._misses
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "evictions": self._evictions,
-            "stores": self._stores,
-            "entries": len(self._records),
-            "hit_rate": self._hits / lookups if lookups else 0.0,
-            "persistent": self.path is not None,
-            "recovered_from_corruption": self._recovered,
-            "digest_memo_hits": self._memo_hits,
-            "ndarray_memo_hits": self._ndarray_memo_hits,
-            "digest_time_saved_s": self._digest_time_saved_s,
-        }
+        with self.lock:
+            lookups = self._hits + self._misses
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "evictions": self._evictions,
+                "stores": self._stores,
+                "entries": len(self._records),
+                "hit_rate": self._hits / lookups if lookups else 0.0,
+                "persistent": self.path is not None,
+                "recovered_from_corruption": self._recovered,
+                "digest_memo_hits": self._memo_hits,
+                "ndarray_memo_hits": self._ndarray_memo_hits,
+                "digest_time_saved_s": self._digest_time_saved_s,
+            }
 
     def flush(self) -> None:
-        """Atomically rewrite the disk store (no-op when memory-only)."""
+        """Atomically rewrite the disk store (no-op when memory-only).
+
+        The temp file is private to this process and thread, so two
+        writers of one path never replace each other's half-written
+        file."""
         if self.path is None:
             return
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(dict(self._records), fh, sort_keys=True)
-        os.replace(tmp, self.path)
-        self._dirty = 0
+        tmp = self.path.with_name(
+            f"{self.path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
+        with self.lock:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(dict(self._records), fh, sort_keys=True)
+            os.replace(tmp, self.path)
+            self._dirty = 0
 
     def clear(self) -> None:
         """Drop every entry (and the disk store, if any)."""
-        self._records = OrderedDict()
-        self._dirty = 0
-        if self.path is not None and self.path.exists():
-            self.path.unlink()
+        with self.lock:
+            self._records = OrderedDict()
+            self._dirty = 0
+            if self.path is not None and self.path.exists():
+                self.path.unlink()
 
     def close(self) -> None:
-        if self._dirty:
-            self.flush()
+        with self.lock:
+            if self._dirty:
+                self.flush()
 
     def __enter__(self) -> "ResultCache":
         return self

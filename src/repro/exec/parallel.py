@@ -42,7 +42,9 @@ path -- while guaranteeing the properties campaigns rely on:
   releases the pool of an evaluator dropped unclosed; a broken or
   timed-out pool is discarded and the next map starts a fresh one.  Workers are forked once, so a workload registered after
   that is recycled in: a map whose registry generation differs from
-  the pool's forks new workers first.
+  the pool's forks new workers first.  A worker exits on its own when
+  the process that started its pool dies, so a SIGKILLed owner (a
+  process shard) leaves no idle workers behind.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from __future__ import annotations
 import concurrent.futures as _futures
 import os
 import pickle
+import signal
+import sys
 import threading
 import time
 import weakref
@@ -73,6 +77,65 @@ from repro.obs.trace import profiled
 
 _MODES = ("process", "thread", "serial")
 _TRANSPORTS = ("auto", "pickle", "shm")
+
+
+#: ``prctl`` option and the signal it arms: the kernel sends a worker
+#: this signal when the thread that forked it exits.
+_PR_SET_PDEATHSIG = 1
+_PARENT_DEATH_SIGNAL = signal.SIGUSR1
+
+
+def _arm_parent_death_signal() -> bool:
+    """Ask Linux to signal this process when its parent exits."""
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        import ctypes
+
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+        prctl.restype = ctypes.c_int
+        return prctl(
+            _PR_SET_PDEATHSIG, int(_PARENT_DEATH_SIGNAL), 0, 0, 0
+        ) == 0
+    except (OSError, AttributeError):
+        return False
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the pool's owner is gone.
+
+    The death signal also fires when the *thread* that forked the
+    worker exits while its process lives on, so the handler exits only
+    when the worker was re-parented.  Without ``prctl`` a daemon thread
+    polls ``os.getppid()`` instead.
+    """
+    parent = os.getppid()
+
+    def _check(*_: Any) -> None:
+        if os.getppid() != parent:
+            os._exit(1)
+
+    # Handler first: the signal's default action would kill the worker.
+    signal.signal(_PARENT_DEATH_SIGNAL, _check)
+    if _arm_parent_death_signal():
+        _check()  # the parent may have died before the signal was armed
+        return
+
+    def _poll() -> None:
+        while True:
+            _check()
+            time.sleep(0.25)
+
+    threading.Thread(
+        target=_poll, name="repro-parent-watch", daemon=True
+    ).start()
+
+
+def _process_pool(max_workers: int) -> _futures.ProcessPoolExecutor:
+    return _futures.ProcessPoolExecutor(
+        max_workers, initializer=_exit_with_parent
+    )
 
 
 def _run_chunk(fn: Callable[[Any], Any], chunk: List[Any]) -> List[Any]:
@@ -248,6 +311,7 @@ class ParallelEvaluator:
         self.shm_threshold_bytes = shm_threshold_bytes
         self._arena = arena
         self.tasks_seen = 0
+        self.tasks_cached = 0
         self.tasks_computed = 0
         self.worker_crashes = 0
         self.tasks_quarantined = 0
@@ -337,6 +401,7 @@ class ParallelEvaluator:
                 hit = self.cache.get(key)
                 if hit is not None:
                     results[idx] = hit
+                    self.tasks_cached += 1
                     continue
             if key is not None and key in followers:
                 followers[key].append(idx)
@@ -556,7 +621,7 @@ class ParallelEvaluator:
         settled: Dict[int, Any] = {}
         crashed: List[int] = []
         for rel in rels:
-            pool = _futures.ProcessPoolExecutor(max_workers=1)
+            pool = _process_pool(1)
             try:
                 future = pool.submit(_run_chunk, fn, [tasks[rel]])
                 settled[rel] = future.result(timeout=self.timeout_s)[0]
@@ -629,7 +694,7 @@ class ParallelEvaluator:
                 stale, pool = pool, None
             if pool is None:
                 if kind == "process":
-                    pool = _futures.ProcessPoolExecutor(self.max_workers)
+                    pool = _process_pool(self.max_workers)
                     self._forked_at = registry_generation()
                 else:
                     pool = _futures.ThreadPoolExecutor(self.max_workers)
@@ -712,6 +777,7 @@ class ParallelEvaluator:
             "max_workers": self.max_workers,
             "chunksize": self.chunksize,
             "tasks_seen": self.tasks_seen,
+            "tasks_cached": self.tasks_cached,
             "tasks_computed": self.tasks_computed,
             "worker_crashes": self.worker_crashes,
             "tasks_quarantined": self.tasks_quarantined,

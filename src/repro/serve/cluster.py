@@ -163,14 +163,19 @@ def incomplete_from_ledger(
 
 
 class _Entry:
-    """One in-flight cluster request: the set-once future plus its
-    current shard assignment and (under tracing) its router span."""
+    """One in-flight cluster request: its content digest (computed
+    once, for routing, tracing and the ledger), the set-once future,
+    its current shard assignment and (under tracing) its router
+    span."""
 
-    __slots__ = ("rid", "request", "future", "shard", "resolved", "trace")
+    __slots__ = (
+        "rid", "request", "digest", "future", "shard", "resolved", "trace"
+    )
 
-    def __init__(self, rid: int, request: EvalRequest) -> None:
+    def __init__(self, rid: int, request: EvalRequest, digest: str) -> None:
         self.rid = rid
         self.request = request
+        self.digest = digest
         self.future: "Future[RunResult]" = Future()
         self.shard: Optional[int] = None
         self.resolved = False
@@ -429,10 +434,13 @@ class ShardCluster:
                 "cluster is stopped", reason="stopped"
             )
         self.breaker(request.workload).check()
+        digest = request.digest
         with self._lock:
             self._rid += 1
-            entry = _Entry(self._rid, request)
-            entry.trace = self._open_cluster_trace(request, trace_ctx)
+            entry = _Entry(self._rid, request, digest)
+            entry.trace = self._open_cluster_trace(
+                request, digest, trace_ctx
+            )
             self._inflight[entry.rid] = entry
         try:
             self._dispatch(entry, block=block)
@@ -447,6 +455,7 @@ class ShardCluster:
     def _open_cluster_trace(
         self,
         request: EvalRequest,
+        digest: str,
         trace_ctx: Optional[TraceContext],
     ) -> Optional[Any]:
         """Open the router-level span for one cluster request (``None``
@@ -461,7 +470,6 @@ class ShardCluster:
         tracer = get_tracer()
         if not tracer.enabled:
             return None
-        digest = request.digest
         if trace_ctx is not None:
             trace_id = trace_ctx.trace_id
             parent_id = trace_ctx.span_id
@@ -530,7 +538,7 @@ class ShardCluster:
                     "cluster is stopped", reason="stopped"
                 )
             shard_id = self.router.route(
-                entry.request.digest, alive=self.alive_shards()
+                entry.digest, alive=self.alive_shards()
             )
             if shard_id is None:
                 # Every shard is down; the supervisor is restarting
@@ -549,7 +557,7 @@ class ShardCluster:
                 "cluster.submit",
                 rid=entry.rid,
                 shard=shard_id,
-                digest=entry.request.digest,
+                digest=entry.digest,
                 workload=entry.request.workload,
             )
             # Pass the trace context only when a span is actually open:
@@ -728,7 +736,7 @@ class ShardCluster:
                 "cluster.replay",
                 rid=rid,
                 from_shard=shard_id,
-                digest=entry.request.digest,
+                digest=entry.digest,
             )
             self.replayed += 1
             try:

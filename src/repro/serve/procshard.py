@@ -131,6 +131,11 @@ def _shard_worker_main(
     from repro.core.api import ensure_default_workloads
     from repro.serve.service import EvaluationService
 
+    # The shard is started daemonic, so an owner exiting without a
+    # shutdown never waits on it; but daemonic processes may not have
+    # children, and a ``parallel`` shard's evaluator forks a pool.  Its
+    # workers exit on their own once this process is gone.
+    multiprocessing.current_process().daemon = False
     ledger = get_ledger()
     if ledger_on:
         ledger.enable()

@@ -10,7 +10,9 @@ resolves content-addressed :class:`~repro.exec.ResultCache` hits,
 deduplicates identical requests inside the batch and evaluates the rest
 under the :mod:`repro.resilience` retry/deadline contract.  The queue
 is bounded: producers either block (backpressure) or get an immediate
-:class:`~repro.serve.request.AdmissionRejected` with a reason.
+:class:`~repro.serve.request.AdmissionRejected` with a reason.  A
+request whose digest already holds a good result in the cache never
+queues: it is answered at admission, in the submitting thread.
 
 Serving never perturbs results: evaluation happens through the same
 ``Workload.evaluate`` a direct caller would use, and every random
@@ -41,6 +43,37 @@ from repro.obs.trace import TraceContext, derive_trace_id, get_tracer
 from repro.resilience import BackoffPolicy, Deadline, resilient_run
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.request import AdmissionRejected, EvalRequest
+
+
+def _payload(record: Any) -> Any:
+    """The result record inside a traced ``__obs__`` envelope, or
+    *record* itself."""
+    if isinstance(record, dict) and record.get("__obs__"):
+        return record["result"]
+    return record
+
+
+def _is_ok(record: Any) -> bool:
+    payload = _payload(record)
+    return isinstance(payload, dict) and payload.get("status") == "ok"
+
+
+class _Pending:
+    """One admitted request: its content digest (computed once, at
+    admission), its future, its trace state (``None`` when tracing is
+    off) and its queue timestamps."""
+
+    __slots__ = (
+        "request", "key", "future", "trace", "enqueued", "dispatched"
+    )
+
+    def __init__(self, request: EvalRequest, key: str) -> None:
+        self.request = request
+        self.key = key
+        self.future: "Future[RunResult]" = Future()
+        self.trace: Optional[Dict[str, Any]] = None
+        self.enqueued = 0.0
+        self.dispatched = 0.0
 
 
 def _evaluate_request_core(task: Tuple) -> Dict[str, Any]:
@@ -184,10 +217,9 @@ class EvaluationService:
         self._work_ready = threading.Condition(self._lock)
         self._space_ready = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
-        # Queue entries: (priority_rank, seq, enqueued, request, future,
-        # trace-or-None); the heap only ever compares the first two
-        # elements because seq is unique.
-        self._queue: List[Tuple] = []
+        # Queue entries: (priority_rank, seq, _Pending); the heap only
+        # ever compares the first two elements because seq is unique.
+        self._queue: List[Tuple[int, int, _Pending]] = []
         self._seq = 0
         # Per-digest occurrence counters: the n-th submission of the
         # same request content gets the n-th deterministic trace id, so
@@ -261,6 +293,14 @@ class EvaluationService:
         """Admit *request*; returns a future resolving to its
         :class:`~repro.core.api.RunResult`.
 
+        A request whose digest holds an ``ok`` record in the cache is
+        answered here, in the caller's thread: its future is done when
+        this returns.  Such a hit never takes a queue slot, so a full
+        queue does not reject it, and it is not counted as a batch; its
+        trace and ledger story are those of a hit served by a batch.
+        Error records are never served this way (errors are outcomes,
+        not values): those requests queue and are evaluated afresh.
+
         A saturated queue raises :class:`AdmissionRejected` immediately
         unless ``block=True``, in which case the caller waits for space
         -- backpressure instead of rejection.  *trace_ctx* stitches the
@@ -268,16 +308,18 @@ class EvaluationService:
         router or a campaign layer) instead of opening a fresh root.
         """
         get_workload(request.workload)  # unknown names fail fast
-        future: "Future[RunResult]" = Future()
+        pending = _Pending(request, request.digest)
         with self._lock:
             self._check_admission()
-            while len(self._queue) >= self.max_queue:
+            pending.enqueued = time.perf_counter()
+            record = self._cached_ok(pending.key)
+            while record is None and len(self._queue) >= self.max_queue:
                 if not block:
                     self.metrics.record_reject("queue full")
                     get_ledger().event(
                         "admission.rejected",
                         reason="queue full",
-                        digest=request.digest,
+                        digest=pending.key,
                     )
                     raise AdmissionRejected(
                         f"queue is full ({self.max_queue} requests); "
@@ -286,27 +328,52 @@ class EvaluationService:
                     )
                 self._space_ready.wait()
                 self._check_admission()
-            self._seq += 1
-            trace = self._open_trace(request, trace_ctx)
-            heapq.heappush(
-                self._queue,
-                (
-                    request.priority_rank,
-                    self._seq,
-                    time.perf_counter(),
-                    request,
-                    future,
-                    trace,
-                ),
-            )
+                # Time blocked on backpressure is not queue wait.
+                pending.enqueued = time.perf_counter()
+            pending.trace = self._open_trace(request, pending.key, trace_ctx)
             self._pending += 1
+            if record is None:
+                self._seq += 1
+                heapq.heappush(
+                    self._queue,
+                    (request.priority_rank, self._seq, pending),
+                )
+                self._work_ready.notify()
             self.metrics.record_submit(len(self._queue))
-            self._work_ready.notify()
-        return future
+        if record is not None:
+            pending.dispatched = pending.enqueued
+            spans, _, trace_ids = self._open_batch_spans([pending])
+            self._resolve(
+                pending, record, spans[0], trace_ids,
+                time.perf_counter(), time.time(), cache_hit=True,
+            )
+            self._release(1)
+        return pending.future
+
+    def _cached_ok(self, key: str) -> Optional[Any]:
+        """The ``ok`` record cached under *key*, or ``None``.
+
+        Only a served record counts as a cache lookup (a hit); a miss is
+        left for the batch's own lookup to count, so each request is
+        counted once.  An error record is evicted -- the eviction a
+        batch applies to any error it serves -- so the batch evaluates
+        the request afresh."""
+        cache = self._evaluator.cache
+        if cache is None:
+            return None
+        with cache.lock:
+            record = cache.peek(key)
+            if record is None:
+                return None
+            if not _is_ok(record):
+                cache.delete(key)
+                return None
+            return cache.get(key)
 
     def _open_trace(
         self,
         request: EvalRequest,
+        digest: str,
         trace_ctx: Optional[TraceContext] = None,
     ) -> Optional[Dict[str, Any]]:
         """Allocate the request's deterministic trace id and open its
@@ -322,7 +389,6 @@ class EvaluationService:
         tracer = get_tracer()
         if not tracer.enabled:
             return None
-        digest = request.digest
         if trace_ctx is not None:
             trace_id = trace_ctx.trace_id
             parent_id = trace_ctx.span_id
@@ -465,10 +531,10 @@ class EvaluationService:
                 return
             self._draining = True
             if not drain:
-                cancelled = [entry for entry in self._queue]
+                cancelled = [entry[2] for entry in self._queue]
                 self._queue.clear()
-                for entry in cancelled:
-                    _, _, _, request, future, trace = entry
+                for pending in cancelled:
+                    future, trace = pending.future, pending.trace
                     self._pending -= 1
                     if trace is not None:
                         get_tracer().end_span(
@@ -540,15 +606,19 @@ class EvaluationService:
                 self._run_batch(batch)
             except Exception as exc:  # pragma: no cover - defensive
                 # A batch-level failure must not strand futures.
-                for entry in batch:
-                    future = entry[3]
-                    if not future.done():
-                        future.set_exception(exc)
-                with self._lock:
-                    self._pending = max(0, self._pending - len(batch))
-                    self._idle.notify_all()
+                for pending in batch:
+                    if not pending.future.done():
+                        pending.future.set_exception(exc)
+                self._release(len(batch))
 
-    def _next_batch(self) -> Optional[List[Tuple]]:
+    def _release(self, count: int) -> None:
+        """*count* admitted requests have resolved."""
+        with self._lock:
+            self._pending = max(0, self._pending - count)
+            if self._pending == 0:
+                self._idle.notify_all()
+
+    def _next_batch(self) -> Optional[List[_Pending]]:
         """Pop up to ``batch_size`` requests, priority lanes first.
 
         The first request opens the batch; the dispatcher then holds it
@@ -573,12 +643,13 @@ class EvaluationService:
             self._space_ready.notify_all()
             return batch
 
-    def _pop_entry(self) -> Tuple:
-        _, _, enqueued, request, future, trace = heapq.heappop(self._queue)
-        return (enqueued, time.perf_counter(), request, future, trace)
+    def _pop_entry(self) -> _Pending:
+        pending = heapq.heappop(self._queue)[2]
+        pending.dispatched = time.perf_counter()
+        return pending
 
     def _open_batch_spans(
-        self, batch: List[Tuple]
+        self, batch: List[_Pending]
     ) -> Tuple[List[Any], List[Optional[Dict[str, Any]]], set]:
         """Per traced request: record its measured ``queue.wait`` span,
         open its ``batch`` span, and build the wire context its worker
@@ -588,7 +659,8 @@ class EvaluationService:
         batch_spans: List[Any] = []
         wires: List[Optional[Dict[str, Any]]] = []
         batch_trace_ids: set = set()
-        for _, _, _, _, trace in batch:
+        for pending in batch:
+            trace = pending.trace
             if trace is None:
                 batch_spans.append(None)
                 wires.append(None)
@@ -623,107 +695,55 @@ class EvaluationService:
             wires.append(wire)
         return batch_spans, wires, batch_trace_ids
 
-    def _run_batch(self, batch: List[Tuple]) -> None:
-        tracer = get_tracer()
-        ledger = get_ledger()
+    def _run_batch(self, batch: List[_Pending]) -> None:
         batch_spans, wires, batch_trace_ids = self._open_batch_spans(batch)
         tasks = [
             (
-                request.workload,
-                dict(request.config),
-                request.seed,
-                request.impl,
+                pending.request.workload,
+                dict(pending.request.config),
+                pending.request.seed,
+                pending.request.impl,
                 self.policy,
                 (
-                    request.timeout_s
-                    if request.timeout_s is not None
+                    pending.request.timeout_s
+                    if pending.request.timeout_s is not None
                     else self.default_timeout_s
                 ),
             ) + ((wire,) if wire is not None else ())
-            for (_, _, request, _, _), wire in zip(batch, wires)
+            for pending, wire in zip(batch, wires)
         ]
-        keys = [request.digest for _, _, request, _, _ in batch]
+        keys = [pending.key for pending in batch]
         cache = self._evaluator.cache
-        hits_before = cache.stats()["hits"] if cache is not None else 0
+        # Evaluator counters, not cache stats: admission hits served
+        # concurrently by submitting threads read the same cache.
+        cached_before = self._evaluator.tasks_cached
         computed_before = self._evaluator.tasks_computed
         records = self._map_with_recovery(tasks, keys)
         records = self._retry_error_followers(tasks, keys, records, cache)
         computed = self._evaluator.tasks_computed - computed_before
-        cache_hits = (
-            (cache.stats()["hits"] - hits_before) if cache is not None else 0
-        )
+        cache_hits = self._evaluator.tasks_cached - cached_before
 
-        # Keys whose final record is good: a follower retry may have
-        # repopulated the slot its leader's error vacated, and the
-        # leader's failure must not evict that fresh value below.
-        ok_keys = set()
-        for key, record in zip(keys, records):
-            payload = (
-                record["result"]
-                if isinstance(record, dict) and record.get("__obs__")
-                else record
-            )
-            if payload.get("status") == "ok":
-                ok_keys.add(key)
+        if cache is not None:
+            # Failures are outcomes, not reusable pure values -- unless
+            # a follower retry repopulated the slot its leader's error
+            # vacated: a key with any good record keeps it.  Evicted
+            # before any future resolves, so no caller can race a
+            # resubmission onto the error record.
+            ok_keys = {
+                key for key, record in zip(keys, records) if _is_ok(record)
+            }
+            for key in dict.fromkeys(keys):
+                if key not in ok_keys:
+                    cache.delete(key)
 
         retries = 0
         done_at = time.perf_counter()
         done_wall = time.time()
-        for entry, key, bspan, record in zip(
-            batch, keys, batch_spans, records
-        ):
-            enqueued, dispatched, request, future, trace = entry
-            envelope = (
-                record
-                if isinstance(record, dict) and record.get("__obs__")
-                else None
+        for pending, bspan, record in zip(batch, batch_spans, records):
+            result = self._resolve(
+                pending, record, bspan, batch_trace_ids, done_at, done_wall
             )
-            payload = envelope["result"] if envelope is not None else record
-            if trace is not None:
-                tid = trace["trace_id"]
-                # The same evaluation can serve many traces (dedup,
-                # cache); the result each caller sees is bound to *its*
-                # trace.  trace_id is volatile, so canonical identity
-                # is untouched.
-                payload = {**payload, "trace_id": tid}
-            result = RunResult.from_json(payload)
-            if not result.ok and cache is not None and key not in ok_keys:
-                # Failures are outcomes, not reusable pure values.
-                cache.delete(key)
             retries += max(0, result.attempts - 1)
-            if trace is not None:
-                status = "ok" if result.ok else "error"
-                if envelope is not None and envelope["trace_id"] == tid:
-                    # Freshly computed for this very request: its
-                    # worker/kernel spans belong in this trace.
-                    tracer.add_records(envelope["spans"])
-                    ledger.extend(envelope["events"])
-                elif envelope is not None:
-                    origin = (
-                        "evaluation.deduped"
-                        if envelope["trace_id"] in batch_trace_ids
-                        else "cache.hit"
-                    )
-                    ledger.event(
-                        origin, trace_id=tid,
-                        source_trace=envelope["trace_id"],
-                    )
-                else:
-                    # Plain cached payload from an untraced run.
-                    ledger.event("cache.hit", trace_id=tid)
-                tracer.end_span(bspan, status=status, end_s=done_wall)
-                tracer.end_span(
-                    trace["root"], status=status, end_s=done_wall
-                )
-                ledger.event(
-                    "request.done", trace_id=tid, status=result.status
-                )
-            self.metrics.record_done(
-                latency_s=done_at - enqueued,
-                queue_wait_s=dispatched - enqueued,
-                ok=result.ok,
-            )
-            future.set_result(result)
         self.metrics.record_batch(
             size=len(batch),
             computed=computed,
@@ -731,10 +751,71 @@ class EvaluationService:
             deduped=max(0, len(batch) - computed - cache_hits),
             retries=retries,
         )
-        with self._lock:
-            self._pending = max(0, self._pending - len(batch))
-            if self._pending == 0:
-                self._idle.notify_all()
+        self._release(len(batch))
+
+    def _resolve(
+        self,
+        pending: _Pending,
+        record: Any,
+        bspan: Any,
+        batch_trace_ids: set,
+        done_at: float,
+        done_wall: float,
+        *,
+        cache_hit: bool = False,
+    ) -> RunResult:
+        """Complete one request from its result *record*: bind the
+        result to the request's trace, close its ledger story and its
+        ``batch`` and root spans, record its metrics and resolve its
+        future.  Shared by the batch path and admission hits
+        (*cache_hit*)."""
+        envelope = (
+            record
+            if isinstance(record, dict) and record.get("__obs__")
+            else None
+        )
+        payload = _payload(record)
+        trace = pending.trace
+        if trace is not None:
+            tid = trace["trace_id"]
+            # The same evaluation can serve many traces (dedup, cache);
+            # the result each caller sees is bound to *its* trace.
+            # trace_id is volatile, so canonical identity is untouched.
+            payload = {**payload, "trace_id": tid}
+        result = RunResult.from_json(payload)
+        if trace is not None:
+            tracer = get_tracer()
+            ledger = get_ledger()
+            status = "ok" if result.ok else "error"
+            if envelope is not None and envelope["trace_id"] == tid:
+                # Freshly computed for this very request: its
+                # worker/kernel spans belong in this trace.
+                tracer.add_records(envelope["spans"])
+                ledger.extend(envelope["events"])
+            elif envelope is not None:
+                origin = (
+                    "evaluation.deduped"
+                    if envelope["trace_id"] in batch_trace_ids
+                    else "cache.hit"
+                )
+                ledger.event(
+                    origin, trace_id=tid,
+                    source_trace=envelope["trace_id"],
+                )
+            else:
+                # Plain cached payload from an untraced run.
+                ledger.event("cache.hit", trace_id=tid)
+            tracer.end_span(bspan, status=status, end_s=done_wall)
+            tracer.end_span(trace["root"], status=status, end_s=done_wall)
+            ledger.event("request.done", trace_id=tid, status=result.status)
+        self.metrics.record_done(
+            latency_s=done_at - pending.enqueued,
+            queue_wait_s=pending.dispatched - pending.enqueued,
+            ok=result.ok,
+            cache_hit=cache_hit,
+        )
+        pending.future.set_result(result)
+        return result
 
     def _map_with_recovery(
         self, tasks: List[Tuple], keys: List[str]
@@ -816,13 +897,7 @@ class EvaluationService:
             if key not in first_at:
                 first_at[key] = idx
                 continue
-            shared = records[idx]
-            payload = (
-                shared["result"]
-                if isinstance(shared, dict) and shared.get("__obs__")
-                else shared
-            )
-            if payload.get("status") != "ok":
+            if not _is_ok(records[idx]):
                 followers.append(idx)
         if not followers:
             return records
@@ -831,12 +906,7 @@ class EvaluationService:
         )
         for idx, record in zip(followers, fresh):
             records[idx] = record
-            payload = (
-                record["result"]
-                if isinstance(record, dict) and record.get("__obs__")
-                else record
-            )
-            if payload.get("status") == "ok" and cache is not None:
+            if _is_ok(record) and cache is not None:
                 cache.put(keys[idx], record)
         return records
 

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.api import build_run_result, get_workload, register_workload
 from repro.core.errors import ValidationError
+from repro.exec import ResultCache
 from repro.obs.ledger import get_ledger
 from repro.resilience import (
     ChaosEvent,
@@ -497,3 +498,64 @@ class TestRunChaosCampaign:
         assert report["extra_lost"] == 0
         assert all(r.ok for r in results)
         assert report["latency_s"]["count"] == len(requests) + 3
+
+
+class TestAdmissionHitsAcrossShards:
+    """Shards submit through ``EvaluationService.submit_request``, so
+    warm requests are answered at shard admission on both backends."""
+
+    def test_inproc_warm_request_digested_once_per_layer(self, monkeypatch):
+        import repro.serve.request as request_module
+
+        request = _nap_requests(1)[0]
+        calls = []
+        original = request_module.request_digest
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        with _cluster(cache=ResultCache()) as cluster:
+            cluster.submit_request(request).result(timeout=30.0)
+            monkeypatch.setattr(request_module, "request_digest", counting)
+            warm = cluster.submit_request(request).result(timeout=30.0)
+            snapshot = cluster.snapshot()
+        assert warm.ok
+        # Once in the router's entry, once at shard admission.
+        assert len(calls) == 2
+        assert snapshot["evaluations"]["cache_hits"] == 1
+
+    def test_process_cluster_warm_hits_match_direct(self, tmp_path):
+        workload = get_workload("imc-crossbar")
+        requests = [
+            EvalRequest(workload="imc-crossbar",
+                        config={"rows": 16, "cols": 16}, seed=seed)
+            for seed in range(6)
+        ]
+        direct = [
+            workload.evaluate(r.config, seed=r.seed).canonical_json()
+            for r in requests
+        ]
+        cluster = ShardCluster(
+            num_shards=2, backend="process", batch_size=4,
+            cache=str(tmp_path / "cache.json"), supervise=False,
+        )
+        try:
+            assert cluster.wait_ready(timeout=90)
+            for request in requests:
+                cluster.submit_request(request, block=True).result(120)
+            cold = cluster.snapshot()
+            warm = [
+                cluster.submit_request(r, block=True).result(120)
+                for r in requests
+            ]
+            hot = cluster.snapshot()
+        finally:
+            cluster.shutdown()
+        assert [r.canonical_json() for r in warm] == direct
+        assert (
+            hot["evaluations"]["cache_hits"]
+            - cold["evaluations"]["cache_hits"]
+        ) == len(requests)
+        assert hot["evaluations"]["computed"] == len(requests)
+        assert hot["batches"]["count"] == cold["batches"]["count"]

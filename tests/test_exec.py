@@ -4,6 +4,8 @@ import json
 import os
 import pickle
 import signal
+import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -242,6 +244,54 @@ class TestResultCache:
             ResultCache(max_entries=0)
         with pytest.raises(ValidationError):
             ResultCache(flush_every=0)
+
+    def test_threads_share_one_disk_backed_cache(self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = ResultCache(path=path)
+        threads, rounds = 4, 150
+        lookups = [0] * threads
+        puts = [0] * threads
+        live = [set() for _ in range(threads)]
+        errors = []
+
+        def worker(t):
+            try:
+                for i in range(rounds):
+                    key = f"t{t}-k{i % 25}"
+                    cache.put(key, {"t": t, "i": i})
+                    puts[t] += 1
+                    live[t].add(key)
+                    assert cache.get(key) == {"t": t, "i": i}
+                    cache.get(f"t{t}-absent")
+                    lookups[t] += 2
+                    if i % 3 == 0:
+                        cache.delete(f"t{t}-k{(i + 7) % 25}")
+                        live[t].discard(f"t{t}-k{(i + 7) % 25}")
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker, args=(t,))
+                    for t in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert errors == []
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == sum(lookups)
+        assert stats["stores"] == sum(puts)
+        cache.close()
+        expected = set().union(*live)
+        reloaded = ResultCache(path=path)
+        assert len(reloaded) == len(expected)
+        assert all(key in reloaded for key in expected)
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestDigestMemo:

@@ -157,6 +157,67 @@ class TestProcessCluster:
         ]
         assert len(done_rids) == len(set(done_rids))
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process tables in /proc"
+    )
+    def test_killed_shard_takes_its_pool_workers_down(self):
+        """A SIGKILLed process shard must not leave the workers of its
+        evaluator's process pool idling forever."""
+        cluster = _process_cluster(
+            num_shards=1, parallel=2, batch_size=8, batch_wait_s=0.2,
+            supervise=False,
+        )
+        workers = set()
+        try:
+            assert cluster.wait_ready(timeout=90)
+            shard = cluster._slots[0].service
+            # Distinct requests in one batch: a multi-task map starts
+            # the shard's pool.
+            futures = [
+                cluster.submit_request(r, block=True)
+                for r in _requests(6, seed=11)
+            ]
+            for future in futures:
+                assert future.result(timeout=120).ok
+            workers = _children(shard.pid)
+            assert len(workers) >= 2
+            cluster.kill_shard(0)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(
+                _running(pid) for pid in workers
+            ):
+                time.sleep(0.05)
+            assert not any(_running(pid) for pid in workers)
+        finally:
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            cluster.shutdown(drain=False)
+
+
+def _stat(pid):
+    """``(state, ppid)`` of *pid* from ``/proc``, or ``None`` if gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children(parent):
+    return {
+        int(name)
+        for name in os.listdir("/proc")
+        if name.isdigit() and (_stat(name) or ("", 0))[1] == parent
+    }
+
+
+def _running(pid):
+    """Alive and not a zombie waiting for a reaper."""
+    stat = _stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")
+
 
 class TestRouterRebalance:
     def test_remove_and_readd_restores_assignment(self):

@@ -211,7 +211,7 @@ class TestPriorityAndBatching:
         service.submit("test-sleepy", seed=1, priority="normal")
         service.submit("test-sleepy", seed=2, priority="high")
         batch = service._next_batch()
-        lanes = [request.priority for _, _, request, _, _ in batch]
+        lanes = [pending.request.priority for pending in batch]
         assert lanes == ["high", "normal"]
         service._run_batch(batch)  # resolve the popped futures
         service.start()
@@ -585,3 +585,193 @@ class TestLoadgen:
         assert point["completed"] == 4
         assert point["latency_s"]["max"] >= 0.35
         assert point["latency_s"]["p50"] < 0.2
+
+
+def _warm_cache(request):
+    """A cache holding *request*'s good result, warmed through a
+    service the way a real first request would."""
+    cache = ResultCache()
+    with _service(cache=cache) as service:
+        assert service.submit_request(request).result(timeout=30.0).ok
+    return cache
+
+
+class TestAdmissionHits:
+    """A request whose digest already holds a good result is answered
+    at admission, in the submitting thread, without a batch."""
+
+    REQUEST = EvalRequest(workload="hls", config=CHEAP_CONFIGS["hls"])
+
+    def test_warm_hit_resolves_before_submit_returns(self):
+        cache = _warm_cache(self.REQUEST)
+        direct = get_workload("hls").evaluate(CHEAP_CONFIGS["hls"], seed=0)
+        service = _service(cache=cache, start=False)
+        try:
+            batches = service.snapshot()["batches"]["count"]
+            future = service.submit_request(self.REQUEST)
+            assert future.done()
+            assert future.result().canonical_json() == direct.canonical_json()
+            snapshot = service.snapshot()
+        finally:
+            service.shutdown()
+        assert snapshot["batches"]["count"] == batches
+        assert snapshot["requests"]["submitted"] == 1
+        assert snapshot["requests"]["completed"] == 1
+        assert snapshot["evaluations"]["cache_hits"] == 1
+        assert snapshot["queue_wait_s"]["max"] == 0.0
+
+    def test_hit_needs_no_queue_slot(self):
+        cache = _warm_cache(self.REQUEST)
+        service = _service(cache=cache, max_queue=1, start=False)
+        try:
+            service.submit("hls", {"kernel": "dot", "size": 4})  # a miss
+            assert service.queue_depth == 1
+            assert service.submit_request(self.REQUEST).done()
+            with pytest.raises(AdmissionRejected):
+                service.submit("hls", {"kernel": "dot", "size": 2})
+        finally:
+            service.shutdown(drain=False)
+
+    def test_stopped_service_rejects_a_hit(self):
+        cache = _warm_cache(self.REQUEST)
+        service = _service(cache=cache)
+        service.shutdown()
+        hits = cache.stats()["hits"]
+        with pytest.raises(AdmissionRejected) as info:
+            service.submit_request(self.REQUEST)
+        assert info.value.reason == "stopped"
+        assert cache.stats()["hits"] == hits
+
+    def test_draining_service_rejects_a_hit(self):
+        cache = _warm_cache(self.REQUEST)
+        service = _service(cache=cache, start=False)
+        service.submit("hls", {"kernel": "dot", "size": 4})  # never runs
+        closer = threading.Thread(
+            target=service.shutdown, kwargs={"timeout": 0.5}
+        )
+        closer.start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while not service._draining and time.monotonic() < deadline:
+                time.sleep(0.001)
+            with pytest.raises(AdmissionRejected) as info:
+                service.submit_request(self.REQUEST)
+            assert info.value.reason == "draining"
+        finally:
+            closer.join(timeout=30)
+        assert not closer.is_alive()
+
+    def test_error_record_is_never_served_at_admission(self):
+        cache = ResultCache()
+        cache.put(
+            self.REQUEST.digest,
+            build_run_result(
+                "hls", {}, config=CHEAP_CONFIGS["hls"], seed=0,
+                status="error", error="stale failure",
+                error_type="RuntimeError",
+            ).to_json(),
+        )
+        with _service(cache=cache) as service:
+            result = service.submit_request(self.REQUEST).result(timeout=30)
+            evaluations = service.snapshot()["evaluations"]
+        assert result.ok
+        assert evaluations["computed"] == 1
+        assert evaluations["cache_hits"] == 0
+
+    def test_admission_hit_tells_the_batch_hit_story(self):
+        from repro import obs
+        from repro.obs.ledger import get_ledger
+        from repro.obs.metrics import get_metrics
+        from repro.obs.trace import get_tracer
+
+        def story(trace_id):
+            spans = get_tracer().spans(trace_id)
+            names = {span["span_id"]: span["name"] for span in spans}
+            tree = sorted(
+                (span["name"], names.get(span["parent_id"], ""))
+                for span in spans
+            )
+            kinds = [
+                (e["event"], e.get("source_trace"))
+                for e in get_ledger().events(trace_id)
+            ]
+            return tree, kinds
+
+        obs.disable()
+        for pillar in (get_tracer(), get_ledger(), get_metrics()):
+            pillar.reset()
+        obs.enable()
+        try:
+            service = _service(
+                cache=ResultCache(), batch_size=1, start=False
+            )
+            service.submit_request(self.REQUEST)  # leader: computed
+            twin = service.submit_request(self.REQUEST)  # batch-path hit
+            service.start()
+            batch_hit = twin.result(timeout=30.0)
+            before = service.snapshot()["batches"]["count"]
+            admission_hit = service.submit_request(self.REQUEST).result()
+            assert service.snapshot()["batches"]["count"] == before
+            service.shutdown()
+            batch_story = story(batch_hit.trace_id)
+            admission_story = story(admission_hit.trace_id)
+        finally:
+            obs.disable()
+            for pillar in (get_tracer(), get_ledger(), get_metrics()):
+                pillar.reset()
+        assert batch_hit.trace_id != admission_hit.trace_id
+        assert admission_story == batch_story
+        assert batch_story[0] == [
+            ("batch", "request"), ("queue.wait", "request"),
+            ("request", ""),
+        ]
+        assert [kind for kind, _ in batch_story[1]] == [
+            "request.admitted", "cache.hit", "request.done"
+        ]
+        assert batch_story[1][1][1] is not None  # the leader's trace
+
+    def test_hit_accounting_matches_the_batch_path(self):
+        stream = [
+            EvalRequest(workload="hls", config={"kernel": "dot", "size": n},
+                        seed=seed)
+            for n, seed in [(8, 0), (4, 0), (8, 0), (8, 1), (4, 0),
+                            (8, 0), (8, 1), (4, 0)]
+        ]
+
+        def serve(force_batch):
+            cache = ResultCache()
+            service = _service(cache=cache)
+            if force_batch:
+                service._cached_ok = lambda key: None
+            try:
+                results = [
+                    service.submit_request(r).result(timeout=30.0)
+                    for r in stream
+                ]
+                evaluations = service.snapshot()["evaluations"]
+            finally:
+                service.shutdown()
+            stats = cache.stats()
+            return (
+                [r.canonical_json() for r in results],
+                (stats["hits"], stats["misses"]),
+                (evaluations["cache_hits"], evaluations["computed"]),
+            )
+
+        assert serve(force_batch=False) == serve(force_batch=True)
+
+    def test_digest_computed_once_per_warm_request(self, monkeypatch):
+        import repro.serve.request as request_module
+
+        cache = _warm_cache(self.REQUEST)
+        calls = []
+        original = request_module.request_digest
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(request_module, "request_digest", counting)
+        with _service(cache=cache) as service:
+            assert service.submit_request(self.REQUEST).done()
+        assert len(calls) == 1
