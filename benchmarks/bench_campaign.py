@@ -11,7 +11,8 @@ nodes in one layer dispatch as a single ``ParallelEvaluator`` batch.
 Acceptance targets (asserted with ``--check``, reported always):
 
 - **overhead**: a graph-backed serial ``crossbar_sweep`` stays within
-  5% of the inline ``evaluate_crossbar_spec`` loop (best-of-N, warm);
+  5% of the inline ``evaluate_crossbar_spec`` loop (median of per-pair
+  time ratios over N warm pairs run in alternating order);
 - **identity**: ``crossbar_sweep`` and ``run_campaign`` wrappers return
   exactly what inline reproductions of the legacy loops return, and a
   pooled graph run is byte-identical to the serial run;
@@ -30,6 +31,7 @@ Run standalone to emit the JSON artifact CI uploads::
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -52,6 +54,8 @@ from repro.imc.sweep import (
 OVERHEAD_GATE_PCT = 5.0
 FULL_SPECS, FULL_REPEATS = 16, 12
 QUICK_SPECS, QUICK_REPEATS = 8, 10
+#: Timed (inline, graph) pairs behind the overhead gate's median.
+FULL_PAIRS, QUICK_PAIRS = 24, 20
 POOL_WORKERS = 2
 
 
@@ -71,35 +75,39 @@ def _best_of(fn, repeats):
     return best
 
 
-def _paired_best(fn_a, fn_b, repeats):
-    """Interleaved best-of-N for two timings, so both minimums come
-    from comparable load windows on a noisy shared runner."""
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        fn_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
+def _paired_ratios(fn_a, fn_b, pairs):
+    """Time *fn_a* and *fn_b* back to back *pairs* times, alternating
+    which runs first; returns both time lists and the per-pair ratios
+    ``b / a``.  Each ratio compares two runs from one load window, and
+    alternating cancels any first-or-second position bias, so the
+    median ratio is steady on a noisy shared runner where the ratio of
+    two independent minimums is not."""
+    times_a, times_b = [], []
+    for index in range(pairs):
+        order = [(fn_a, times_a), (fn_b, times_b)]
+        for fn, sink in order[::-1] if index % 2 else order:
+            start = time.perf_counter()
+            fn()
+            sink.append(time.perf_counter() - start)
+    ratios = [b / a for a, b in zip(times_a, times_b)]
+    return times_a, times_b, ratios
 
 
-def overhead_study(num_specs, repeats):
+def overhead_study(num_specs, pairs):
     """Serial graph-backed sweep vs the inline legacy loop."""
     specs = _specs(num_specs)
     crossbar_sweep(specs[:1])  # warm imports and caches out of the timing
-    bespoke_s, graph_s = _paired_best(
+    bespoke, graph, ratios = _paired_ratios(
         lambda: [evaluate_crossbar_spec(spec) for spec in specs],
         lambda: crossbar_sweep(specs),
-        repeats,
+        pairs,
     )
     return {
         "num_specs": num_specs,
-        "repeats": repeats,
-        "bespoke_s": bespoke_s,
-        "graph_s": graph_s,
-        "overhead_pct": (graph_s / bespoke_s - 1.0) * 100.0,
+        "pairs": pairs,
+        "bespoke_s": statistics.median(bespoke),
+        "graph_s": statistics.median(graph),
+        "overhead_pct": (statistics.median(ratios) - 1.0) * 100.0,
         "identical": crossbar_sweep(specs)
         == [evaluate_crossbar_spec(spec) for spec in specs],
     }
@@ -155,7 +163,9 @@ def run_campaign_study(quick=False):
     num_specs = QUICK_SPECS if quick else FULL_SPECS
     repeats = QUICK_REPEATS if quick else FULL_REPEATS
     return {
-        "overhead": overhead_study(num_specs, repeats),
+        "overhead": overhead_study(
+            num_specs, QUICK_PAIRS if quick else FULL_PAIRS
+        ),
         "batching": batching_study(num_specs, repeats),
         "wrappers": wrapper_identity_study(),
     }
@@ -239,7 +249,7 @@ def main(argv=None):
         f"overhead: bespoke {overhead['bespoke_s'] * 1000:.1f} ms, "
         f"graph {overhead['graph_s'] * 1000:.1f} ms "
         f"({overhead['overhead_pct']:+.2f}% over {overhead['num_specs']} "
-        f"specs, best of {overhead['repeats']})"
+        f"specs, median of {overhead['pairs']} alternating pairs)"
     )
     print(
         f"batching: serial {batching['serial_s'] * 1000:.1f} ms, "

@@ -3,9 +3,10 @@
 :class:`GraphRunner` walks a :class:`~repro.campaign.graph.
 CampaignGraph` layer by topological layer.  Every independent
 :class:`~repro.campaign.graph.EvalNode` in a layer batches onto one
-backend -- the suite-wide ``parallel=``/``cache=`` engine
-(:class:`~repro.exec.ParallelEvaluator`: sharding, shm transport,
-content-addressed caching and crash recovery apply for free) or a live
+backend -- the suite-wide ``parallel=``/``cache=`` engine, through the
+request path the service uses too (:mod:`repro.exec.requests`:
+sharding, shm transport, content-addressed caching, crash degradation
+and never-cached errors apply for free), or a live
 :class:`~repro.serve.EvaluationService` -- while reductions fold in the
 coordinator.  Per-node validation gates run on every result;
 a gate failure consumes the node's
@@ -34,64 +35,16 @@ from repro.campaign.graph import (
     resolve_refs,
     run_named_reduce,
 )
-from repro.core.api import (
-    RunResult,
-    build_run_result,
-    ensure_default_workloads,
-    get_workload,
-    request_digest,
-)
+from repro.core.api import RunResult, request_digest
 from repro.core.errors import ValidationError
 from repro.exec.parallel import CacheLike, EvaluatorLike, make_evaluator
+from repro.exec.requests import evaluate_batch, read_record
+from repro.obs.trace import TraceSlots
 from repro.resilience import ResiliencePolicy
 
-#: Deterministic per-process occurrence counter for campaign trace ids
-#: (same role as the serve tier's per-digest occurrence counter).
-_TRACE_OCCURRENCES: Dict[str, int] = {}
-
-
-def _eval_node_task(task: Tuple) -> Dict[str, Any]:
-    """Evaluate one :class:`EvalNode` request (module-level: process
-    pools can ship it; returns ``RunResult.to_json()`` so result caches
-    can store it).  Transient faults retry under the node's backoff
-    policy; with *capture* any terminal failure becomes an error-status
-    result instead of poisoning the batch."""
-    from repro.core.errors import TransientFault
-    from repro.resilience import resilient_run
-
-    name, config, seed, impl, policy, capture = task
-    ensure_default_workloads()
-    start = time.perf_counter()
-    try:
-        workload = get_workload(name)
-        if policy is not None and policy.max_attempts > 1:
-            outcome = resilient_run(
-                lambda: workload.evaluate(config, seed=seed, impl=impl),
-                policy=policy,
-                retry_on=(TransientFault,),
-            )
-            result: RunResult = outcome.value
-            if outcome.attempts > 1:
-                result = RunResult(
-                    **{**result.to_json(), "attempts": outcome.attempts}
-                )
-        else:
-            result = workload.evaluate(config, seed=seed, impl=impl)
-        return result.to_json()
-    except Exception as exc:
-        if not capture:
-            raise
-        return build_run_result(
-            name,
-            {},
-            config=config,
-            seed=seed,
-            impl=impl,
-            wall_time_s=time.perf_counter() - start,
-            status="error",
-            error=str(exc),
-            error_type=type(exc).__name__,
-        ).to_json()
+#: Deterministic per-process trace placement for campaign roots (same
+#: role as the serve tier's per-digest slots).
+_TRACE_OCCURRENCES = TraceSlots("campaign|")
 
 
 def _task_node_call(task: Tuple) -> Any:
@@ -231,7 +184,7 @@ class GraphRunner:
 
     def run(self, graph: CampaignGraph) -> CampaignRunReport:
         from repro.obs.ledger import get_ledger
-        from repro.obs.trace import derive_trace_id, get_tracer
+        from repro.obs.trace import get_tracer
 
         layers = graph.schedule()
         report = CampaignRunReport(graph=graph.name, layers=layers)
@@ -243,12 +196,10 @@ class GraphRunner:
 
         root = None
         if self.observe and tracer.enabled:
-            material = f"campaign|{graph.name}"
-            occurrence = _TRACE_OCCURRENCES.get(material, 0)
-            _TRACE_OCCURRENCES[material] = occurrence + 1
+            trace_id, _, _ = _TRACE_OCCURRENCES.place(graph.name)
             root = tracer.start_span(
                 "campaign",
-                trace_id=derive_trace_id(material, occurrence),
+                trace_id=trace_id,
                 parent_id="",
                 order=0,
                 attributes={"graph": graph.name, "nodes": len(graph)},
@@ -466,10 +417,21 @@ class GraphRunner:
         keyed by node name."""
         if not nodes:
             return {}
-        configs = {
-            node.name: self._resolved_config(node, report)
-            for node in nodes
-        }
+        results = self._evaluate(
+            [
+                (node, self._resolved_config(node, report), node.seed,
+                 node.impl)
+                for node in nodes
+            ]
+        )
+        return {node.name: result for node, result in zip(nodes, results)}
+
+    def _evaluate(
+        self, calls: List[Tuple[EvalNode, Dict[str, Any], int, Optional[str]]]
+    ) -> List[RunResult]:
+        """Evaluate ``(node, config, seed, impl)`` calls as one batch on
+        the runner's backend: the service, or the shared request path
+        over the engine (a plain in-process loop without one)."""
         if self.service is not None:
             # Under tracing the layer span is this thread's active
             # context; handing it to the service stitches every node's
@@ -478,72 +440,28 @@ class GraphRunner:
             trace_ctx = self._service_trace_ctx()
             futures = [
                 self.service.submit(
-                    node.workload,
-                    configs[node.name],
-                    seed=node.seed,
-                    impl=node.impl,
-                    block=True,
-                    trace_ctx=trace_ctx,
+                    node.workload, config, seed=seed, impl=impl,
+                    block=True, trace_ctx=trace_ctx,
                 )
-                for node in nodes
+                for node, config, seed, impl in calls
             ]
-            return {
-                node.name: future.result()
-                for node, future in zip(nodes, futures)
-            }
+            return [future.result() for future in futures]
         tasks = []
         keys = []
-        for node in nodes:
+        for node, config, seed, impl in calls:
             policy = self._policy_for(node)
+            backoff = policy.backoff if policy is not None else None
+            if backoff is not None and backoff.max_attempts < 2:
+                backoff = None  # a plain call: no retry ledger events
             tasks.append(
-                (
-                    node.workload,
-                    configs[node.name],
-                    node.seed,
-                    node.impl,
-                    policy.backoff if policy is not None else None,
-                    node.capture_errors,
-                )
+                (node.workload, config, seed, impl, backoff, None,
+                 node.capture_errors, None)
             )
-            keys.append(
-                request_digest(
-                    node.workload, configs[node.name], node.seed, node.impl
-                )
-            )
-        if self.engine is not None:
-            records = self.engine.map(_eval_node_task, tasks, keys=keys)
-        else:
-            records = [_eval_node_task(task) for task in tasks]
-        return {
-            node.name: RunResult.from_json(record)
-            for node, record in zip(nodes, records)
-        }
-
-    def _evaluate_single(
-        self, node: EvalNode, config: Dict[str, Any], seed: int,
-        impl: Optional[str],
-    ) -> RunResult:
-        """One backtrack re-run, on the same backend as the batch."""
-        if self.service is not None:
-            return self.service.submit(
-                node.workload, config, seed=seed, impl=impl, block=True,
-                trace_ctx=self._service_trace_ctx(),
-            ).result()
-        policy = self._policy_for(node)
-        task = (
-            node.workload,
-            config,
-            seed,
-            impl,
-            policy.backoff if policy is not None else None,
-            node.capture_errors,
-        )
-        if self.engine is not None:
-            key = request_digest(node.workload, config, seed, impl)
-            (record,) = self.engine.map(_eval_node_task, [task], keys=[key])
-        else:
-            record = _eval_node_task(task)
-        return RunResult.from_json(record)
+            keys.append(request_digest(node.workload, config, seed, impl))
+        return [
+            RunResult.from_json(read_record(record)[0])
+            for record in evaluate_batch(self.engine, tasks, keys)
+        ]
 
     def _finish_eval(
         self,
@@ -566,7 +484,7 @@ class GraphRunner:
                 impl = policy.fallback_impl
             self._note_backtrack(node, backtracks, seed, impl)
             config = self._resolved_config(node, report)
-            result = self._evaluate_single(node, config, seed, impl)
+            (result,) = self._evaluate([(node, config, seed, impl)])
             failures = self._gate_failures(node, result)
 
         if failures:

@@ -48,8 +48,8 @@ class RetrievalReport:
         extra_metrics=None,
     ):
         """This report in the unified :class:`~repro.core.api.RunResult`
-        shape (the raw payload bytes stay out of the metrics dict; the
-        legacy field names remain reachable as deprecated aliases)."""
+        shape: the report's counters become the result's ``metrics``
+        (the raw payload bytes stay out of it)."""
         from repro.core.api import build_run_result
 
         metrics = {

@@ -20,6 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.core.errors import ValidationError
 from repro.obs.trace import profiled
 
 _PRIMITIVE_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
@@ -165,7 +166,7 @@ class ReedSolomonCodec:
 
     def __init__(self, n: int, k: int, impl: str = "numpy") -> None:
         if not 1 <= k < n <= 255:
-            raise ValueError("require 1 <= k < n <= 255")
+            raise ValidationError("require 1 <= k < n <= 255")
         if impl not in ("scalar", "numpy"):
             raise ValueError(
                 f"impl must be 'scalar' or 'numpy', got {impl!r}"

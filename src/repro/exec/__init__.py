@@ -17,7 +17,10 @@ Entry points:
 - :class:`ResultCache` / :func:`config_digest` -- SHA-256
   content-addressed LRU result store with an atomic on-disk backing;
 - :func:`make_evaluator` / :func:`coerce_cache` -- adapters behind the
-  ``parallel=`` / ``cache=`` kwargs of the high-level runners.
+  ``parallel=`` / ``cache=`` kwargs of the high-level runners;
+- :mod:`repro.exec.requests` -- the one request-evaluation path (worker,
+  batch rules, cache-record reader) the service and the campaign runner
+  share.
 """
 
 from repro.exec.cache import ResultCache, canonical_payload, config_digest

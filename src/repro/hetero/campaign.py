@@ -89,8 +89,7 @@ class CampaignCell:
         wall_time_s: float = 0.0,
     ):
         """This cell in the unified :class:`~repro.core.api.RunResult`
-        shape; the legacy field names stay reachable as deprecated
-        attribute aliases on the returned object."""
+        shape: the cell's fields become the result's ``metrics``."""
         from repro.core.api import build_run_result
 
         metrics = {

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.errors import ValidationError
 from repro.core.rng import SeedLike, make_rng
 
 
@@ -210,7 +211,7 @@ class NVMDevice:
         ``G(t) = G0 * t^-nu`` for ``t >= 1``.
         """
         if t_seconds < 1.0:
-            raise ValueError("drift model is defined for t >= 1 s")
+            raise ValidationError("drift model is defined for t >= 1 s")
         return self._g0 * t_seconds ** (-self.params.drift_nu)
 
     def read(self, t_seconds: float = 1.0) -> np.ndarray:

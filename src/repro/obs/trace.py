@@ -101,6 +101,43 @@ class TraceContext:
         )
 
 
+class TraceSlots:
+    """Deterministic trace placement for submitted work, by content key.
+
+    A fresh root takes the key's next occurrence: the n-th submission of
+    the same key gets the n-th trace id derived from ``prefix + key``,
+    so a rerun of the same stream reproduces its trace ids.  A
+    submission stitched under a caller's span (*ctx*) takes an order
+    slot per ``(trace, parent)`` instead: each distinct key gets the
+    next slot, and a resubmission of the same key (a cluster replay)
+    reuses its slot -- identical span ids across attempts and backends.
+    Not locked: callers allocate under their own lock.
+    """
+
+    def __init__(self, prefix: str = "") -> None:
+        self.prefix = prefix
+        self._occurrences: Dict[str, int] = {}
+        self._orders: Dict[Tuple[str, str], Dict[str, int]] = {}
+
+    def place(
+        self, key: str, ctx: Optional[TraceContext] = None
+    ) -> Tuple[str, str, int]:
+        """``(trace_id, parent_id, order)`` for the next submission of
+        *key*, rooted fresh or stitched under *ctx*."""
+        if ctx is not None:
+            orders = self._orders.setdefault((ctx.trace_id, ctx.span_id), {})
+            return ctx.trace_id, ctx.span_id, orders.setdefault(
+                key, len(orders)
+            )
+        occurrence = self._occurrences.get(key, 0)
+        self._occurrences[key] = occurrence + 1
+        return derive_trace_id(self.prefix + key, occurrence), "", 0
+
+    def clear(self) -> None:
+        self._occurrences.clear()
+        self._orders.clear()
+
+
 class Span:
     """One named, timed unit of work inside a trace.
 
@@ -663,6 +700,7 @@ def profiled(name: Optional[str] = None) -> Callable:
 __all__ = [
     "Span",
     "TraceContext",
+    "TraceSlots",
     "Tracer",
     "VOLATILE_SPAN_FIELDS",
     "canonical_spans",

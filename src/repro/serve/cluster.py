@@ -56,7 +56,7 @@ from repro.core.errors import ValidationError
 from repro.exec.parallel import CacheLike, EvaluatorLike, coerce_cache
 from repro.obs.ledger import get_ledger
 from repro.obs.stats import summary as _summary
-from repro.obs.trace import TraceContext, derive_trace_id, get_tracer
+from repro.obs.trace import TraceContext, TraceSlots, get_tracer
 from repro.resilience import BackoffPolicy, ChaosPolicy, CircuitBreaker
 from repro.serve.procshard import ProcessShard, validate_process_spec
 from repro.serve.request import AdmissionRejected, EvalRequest
@@ -319,12 +319,9 @@ class ShardCluster:
             # Fail fast on specs that cannot cross the spawn boundary.
             validate_process_spec(self._service_kwargs)
         self._lock = threading.Lock()
-        # Trace stitching state: per-digest occurrence counters for
-        # fresh cluster traces, and per-(trace_id, parent) order slots
-        # for submissions nested under a caller's span (campaigns).
-        # Mirrors the EvaluationService scheme one level up.
-        self._trace_occurrences: Dict[str, int] = {}
-        self._ctx_orders: Dict[Tuple[str, str], Dict[str, int]] = {}
+        # Trace stitching state: the EvaluationService scheme one level
+        # up, with fresh traces rooted at ``cluster|<digest>``.
+        self._trace_slots = TraceSlots("cluster|")
         self._slots = [
             _ShardSlot(index, self._make_service(index))
             for index in range(num_shards)
@@ -470,22 +467,9 @@ class ShardCluster:
         tracer = get_tracer()
         if not tracer.enabled:
             return None
-        if trace_ctx is not None:
-            trace_id = trace_ctx.trace_id
-            parent_id = trace_ctx.span_id
-            orders = self._ctx_orders.setdefault(
-                (trace_id, parent_id), {}
-            )
-            order = orders.get(digest)
-            if order is None:
-                order = len(orders)
-                orders[digest] = order
-        else:
-            occurrence = self._trace_occurrences.get(digest, 0)
-            self._trace_occurrences[digest] = occurrence + 1
-            trace_id = derive_trace_id(f"cluster|{digest}", occurrence)
-            parent_id = ""
-            order = 0
+        trace_id, parent_id, order = self._trace_slots.place(
+            digest, trace_ctx
+        )
         return tracer.start_span(
             "cluster.request",
             trace_id=trace_id,

@@ -29,33 +29,16 @@ import time
 from concurrent.futures import Future
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.api import (
-    RunResult,
-    build_run_result,
-    ensure_default_workloads,
-    get_workload,
-)
-from repro.core.errors import ValidationError, WorkerCrashError
+from repro.core.api import RunResult, get_workload
+from repro.core.errors import ValidationError
 from repro.exec import ParallelEvaluator, coerce_cache
 from repro.exec.parallel import CacheLike, EvaluatorLike, make_evaluator
+from repro.exec.requests import evaluate_batch, read_record, record_ok
 from repro.obs.ledger import get_ledger
-from repro.obs.trace import TraceContext, derive_trace_id, get_tracer
-from repro.resilience import BackoffPolicy, Deadline, resilient_run
+from repro.obs.trace import TraceContext, TraceSlots, get_tracer
+from repro.resilience import BackoffPolicy
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.request import AdmissionRejected, EvalRequest
-
-
-def _payload(record: Any) -> Any:
-    """The result record inside a traced ``__obs__`` envelope, or
-    *record* itself."""
-    if isinstance(record, dict) and record.get("__obs__"):
-        return record["result"]
-    return record
-
-
-def _is_ok(record: Any) -> bool:
-    payload = _payload(record)
-    return isinstance(payload, dict) and payload.get("status") == "ok"
 
 
 class _Pending:
@@ -74,99 +57,6 @@ class _Pending:
         self.trace: Optional[Dict[str, Any]] = None
         self.enqueued = 0.0
         self.dispatched = 0.0
-
-
-def _evaluate_request_core(task: Tuple) -> Dict[str, Any]:
-    """The evaluation itself: transient faults retried under the
-    policy, the deadline bounds the retry storm, and any terminal
-    exception becomes an error result instead of killing the batch, so
-    the service degrades per-request."""
-    from repro.core.api import build_run_result
-    from repro.core.errors import TransientFault
-
-    name, config, seed, impl, policy, timeout_s = task[:6]
-    ensure_default_workloads()
-    start = time.perf_counter()
-    try:
-        workload = get_workload(name)
-        deadline = Deadline(timeout_s) if timeout_s is not None else None
-        outcome = resilient_run(
-            lambda: workload.evaluate(config, seed=seed, impl=impl),
-            policy=policy,
-            retry_on=(TransientFault,),
-            deadline=deadline,
-        )
-        result: RunResult = outcome.value
-        if outcome.attempts > 1:
-            result = RunResult(
-                **{**result.to_json(), "attempts": outcome.attempts}
-            )
-        return result.to_json()
-    except Exception as exc:
-        return build_run_result(
-            name,
-            {},
-            config=config,
-            seed=seed,
-            impl=impl,
-            wall_time_s=time.perf_counter() - start,
-            status="error",
-            error=str(exc),
-            error_type=type(exc).__name__,
-            trace_id=getattr(exc, "trace_id", None),
-        ).to_json()
-
-
-def _evaluate_request_task(task: Tuple) -> Dict[str, Any]:
-    """Evaluate one request in a worker (module-level: picklable).
-
-    Returns ``RunResult.to_json()`` unconditionally when tracing is off
-    (the seed-compatible wire shape).  Under tracing the task tuple
-    carries a 7th element -- the trace wire context -- and the return
-    value is an envelope: the result plus every span and ledger event
-    produced in the worker, keyed by the originating trace id so the
-    coordinator can tell a fresh computation from a replayed cache hit.
-    """
-    wire = task[6] if len(task) > 6 else None
-    if wire is None:
-        return _evaluate_request_core(task)
-
-    from repro.obs.ledger import get_ledger
-    from repro.obs.trace import TraceContext, enable_tracing, get_tracer
-
-    tracer = enable_tracing()  # idempotent
-    ledger = get_ledger()
-    if wire.get("ledger"):
-        ledger.enable()
-    ctx = TraceContext.from_wire(wire)
-    spans: List[Dict[str, Any]] = []
-    events: List[Dict[str, Any]] = []
-    span = tracer.start_span(
-        "worker",
-        trace_id=ctx.trace_id,
-        parent_id=ctx.span_id,
-        order=0,
-    )
-    with tracer.activate(span.context, sink=spans), \
-            ledger.capture(events):
-        record = _evaluate_request_core(task)
-        if record.get("trace_id") is None:
-            record["trace_id"] = ctx.trace_id
-        status = "ok" if record.get("status") == "ok" else "error"
-        if status == "error":
-            ledger.event(
-                "request.error",
-                trace_id=ctx.trace_id,
-                error_type=record.get("error_type"),
-            )
-    get_tracer().end_span(span, status=status, sink=spans)
-    return {
-        "__obs__": True,
-        "trace_id": ctx.trace_id,
-        "result": record,
-        "spans": spans,
-        "events": events,
-    }
 
 
 class EvaluationService:
@@ -221,16 +111,8 @@ class EvaluationService:
         # ever compares the first two elements because seq is unique.
         self._queue: List[Tuple[int, int, _Pending]] = []
         self._seq = 0
-        # Per-digest occurrence counters: the n-th submission of the
-        # same request content gets the n-th deterministic trace id, so
-        # a rerun of the same request stream reproduces its trace ids.
-        self._trace_occurrences: Dict[str, int] = {}
-        # Stitched submissions (an inherited trace context) instead
-        # allocate the root span's order per (trace_id, parent span):
-        # each distinct digest under one parent gets the next slot, and
-        # a resubmission of the same digest (a cluster replay) reuses
-        # its slot -- identical span ids across attempts and backends.
-        self._ctx_orders: Dict[Tuple[str, str], Dict[str, int]] = {}
+        # Deterministic trace ids and stitched order slots, by digest.
+        self._trace_slots = TraceSlots()
         # Set by cluster backends so stitched traces carry which shard
         # served the request (volatile: excluded from canonical form).
         self.shard_index: Optional[int] = None
@@ -365,7 +247,7 @@ class EvaluationService:
             record = cache.peek(key)
             if record is None:
                 return None
-            if not _is_ok(record):
+            if not record_ok(record):
                 cache.delete(key)
                 return None
             return cache.get(key)
@@ -378,7 +260,7 @@ class EvaluationService:
     ) -> Optional[Dict[str, Any]]:
         """Allocate the request's deterministic trace id and open its
         root span (``None`` when tracing is off -- one boolean check).
-        Called under the service lock (the occurrence counter).
+        Called under the service lock (the slot allocator).
 
         With a *trace_ctx* the request span nests under the caller's
         span in the caller's trace; its order slot is allocated per
@@ -389,22 +271,9 @@ class EvaluationService:
         tracer = get_tracer()
         if not tracer.enabled:
             return None
-        if trace_ctx is not None:
-            trace_id = trace_ctx.trace_id
-            parent_id = trace_ctx.span_id
-            orders = self._ctx_orders.setdefault(
-                (trace_id, parent_id), {}
-            )
-            order = orders.get(digest)
-            if order is None:
-                order = len(orders)
-                orders[digest] = order
-        else:
-            occurrence = self._trace_occurrences.get(digest, 0)
-            self._trace_occurrences[digest] = occurrence + 1
-            trace_id = derive_trace_id(digest, occurrence)
-            parent_id = ""
-            order = 0
+        trace_id, parent_id, order = self._trace_slots.place(
+            digest, trace_ctx
+        )
         root = tracer.start_span(
             "request",
             trace_id=trace_id,
@@ -709,32 +578,20 @@ class EvaluationService:
                     if pending.request.timeout_s is not None
                     else self.default_timeout_s
                 ),
-            ) + ((wire,) if wire is not None else ())
+                True,
+                wire,
+            )
             for pending, wire in zip(batch, wires)
         ]
-        keys = [pending.key for pending in batch]
-        cache = self._evaluator.cache
         # Evaluator counters, not cache stats: admission hits served
         # concurrently by submitting threads read the same cache.
         cached_before = self._evaluator.tasks_cached
         computed_before = self._evaluator.tasks_computed
-        records = self._map_with_recovery(tasks, keys)
-        records = self._retry_error_followers(tasks, keys, records, cache)
+        records = evaluate_batch(
+            self._evaluator, tasks, [pending.key for pending in batch]
+        )
         computed = self._evaluator.tasks_computed - computed_before
         cache_hits = self._evaluator.tasks_cached - cached_before
-
-        if cache is not None:
-            # Failures are outcomes, not reusable pure values -- unless
-            # a follower retry repopulated the slot its leader's error
-            # vacated: a key with any good record keeps it.  Evicted
-            # before any future resolves, so no caller can race a
-            # resubmission onto the error record.
-            ok_keys = {
-                key for key, record in zip(keys, records) if _is_ok(record)
-            }
-            for key in dict.fromkeys(keys):
-                if key not in ok_keys:
-                    cache.delete(key)
 
         retries = 0
         done_at = time.perf_counter()
@@ -769,12 +626,7 @@ class EvaluationService:
         ``batch`` and root spans, record its metrics and resolve its
         future.  Shared by the batch path and admission hits
         (*cache_hit*)."""
-        envelope = (
-            record
-            if isinstance(record, dict) and record.get("__obs__")
-            else None
-        )
-        payload = _payload(record)
+        payload, envelope = read_record(record)
         trace = pending.trace
         if trace is not None:
             tid = trace["trace_id"]
@@ -816,99 +668,6 @@ class EvaluationService:
         )
         pending.future.set_result(result)
         return result
-
-    def _map_with_recovery(
-        self, tasks: List[Tuple], keys: List[str]
-    ) -> List[Any]:
-        """Dispatch the batch, degrading per-digest on worker death.
-
-        :class:`~repro.core.errors.WorkerCrashError` from the engine
-        names the quarantined digests (poison tasks that crashed their
-        worker repeatedly); those become error records, and the rest of
-        the batch is re-mapped -- one poison request must never take
-        its batch-mates down with it.  The loop is bounded: every pass
-        either completes or quarantines at least one digest.
-        """
-        slots = list(range(len(tasks)))
-        records: List[Any] = [None] * len(tasks)
-        while slots:
-            try:
-                mapped = self._evaluator.map(
-                    _evaluate_request_task,
-                    [tasks[i] for i in slots],
-                    keys=[keys[i] for i in slots],
-                )
-            except WorkerCrashError as exc:
-                quarantined = set(exc.quarantined)
-                get_ledger().event(
-                    "batch.worker_crash",
-                    quarantined=sorted(quarantined),
-                )
-                survivors = []
-                for i in slots:
-                    if quarantined and keys[i] not in quarantined:
-                        survivors.append(i)
-                    else:
-                        records[i] = self._crash_record(tasks[i], exc)
-                slots = survivors
-                continue
-            for i, record in zip(slots, mapped):
-                records[i] = record
-            slots = []
-        return records
-
-    @staticmethod
-    def _crash_record(task: Tuple, exc: WorkerCrashError) -> Dict[str, Any]:
-        """An error :class:`RunResult` wire record for a request whose
-        evaluation kept crashing its worker."""
-        name, config, seed, impl = task[0], task[1], task[2], task[3]
-        return build_run_result(
-            name,
-            {},
-            config=config,
-            seed=seed,
-            impl=impl,
-            status="error",
-            error=str(exc),
-            error_type="WorkerCrashError",
-            trace_id=exc.trace_id,
-        ).to_json()
-
-    def _retry_error_followers(
-        self,
-        tasks: List[Tuple],
-        keys: List[str],
-        records: List[Any],
-        cache,
-    ) -> List[Any]:
-        """In-batch dedup must not fan one error out to every caller.
-
-        When identical requests coalesce onto a single evaluation and
-        that evaluation *fails*, only the first requester should see
-        the failure -- each coalesced follower gets a fresh, cache- and
-        dedup-free attempt (errors are outcomes, not reusable values;
-        the same contract :class:`ResultCache` enforces across
-        batches).  A follower success repopulates the cache slot the
-        error left vacant.
-        """
-        first_at: Dict[str, int] = {}
-        followers: List[int] = []
-        for idx, key in enumerate(keys):
-            if key not in first_at:
-                first_at[key] = idx
-                continue
-            if not _is_ok(records[idx]):
-                followers.append(idx)
-        if not followers:
-            return records
-        fresh = self._evaluator.map(
-            _evaluate_request_task, [tasks[i] for i in followers]
-        )
-        for idx, record in zip(followers, fresh):
-            records[idx] = record
-            if _is_ok(record) and cache is not None:
-                cache.put(keys[idx], record)
-        return records
 
     # ------------------------------------------------------------ reporting
 

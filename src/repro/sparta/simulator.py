@@ -64,8 +64,8 @@ class SimulationStats:
         wall_time_s: float = 0.0,
     ):
         """This result in the unified :class:`~repro.core.api.RunResult`
-        shape; the legacy field names stay reachable as deprecated
-        attribute aliases on the returned object."""
+        shape: the statistics fields and derived rates become the
+        result's ``metrics``."""
         from dataclasses import asdict
 
         from repro.core.api import build_run_result
