@@ -65,11 +65,14 @@ def consensus_sequence(
     reads: List[str],
     template: Optional[str] = None,
     iterations: int = 2,
+    length: Optional[int] = None,
 ) -> str:
     """Majority-vote consensus of *reads*.
 
-    *template* defaults to the most common read length's first
-    representative.  Returns the refined consensus string.
+    *template* defaults to the first read of the expected strand
+    *length* if one was given and some read has it, otherwise to the
+    most common read length's first representative.  Returns the
+    refined consensus string.
     """
     if not reads:
         raise ValueError("need at least one read")
@@ -77,7 +80,7 @@ def consensus_sequence(
         raise ValueError("iterations must be >= 1")
     if template is None:
         lengths = Counter(len(r) for r in reads)
-        target_len = lengths.most_common(1)[0][0]
+        target_len = length if length in lengths else lengths.most_common(1)[0][0]
         template = next(r for r in reads if len(r) == target_len)
     for _ in range(iterations):
         new_template = _vote_once(reads, template)

@@ -126,7 +126,11 @@ class DNAStorageSystem:
                 # the strand parser discards malformed ones.
                 consensi.append(cluster.reads[0])
             else:
-                consensi.append(consensus_sequence(cluster.reads))
+                consensi.append(
+                    consensus_sequence(
+                        cluster.reads, length=self.layout.strand_bases
+                    )
+                )
         coded_len = self.coded_length(payload_length)
         coded, missing = decode_strands(consensi, coded_len, self.layout)
         payload = self.codec.decode_blocks(coded, payload_length)

@@ -5,11 +5,15 @@ nucleotide bases; the canonical mapping is two bits per base (A=00, C=01,
 G=10, T=11, the encoding shown in Fig. 6a).  Payloads larger than one
 strand are split into fixed-size oligos, each prefixed with an index field
 so the unordered pool can be reassembled, plus an outer Reed-Solomon code
-(:mod:`repro.dna.ecc`) applied by the full pipeline.
+(:mod:`repro.dna.ecc`) applied by the full pipeline.  Each chunk is XORed
+with a pseudo-random mask keyed by its index before synthesis, so a
+low-entropy payload (say, all zeros) still yields strands that are far
+apart in edit distance, as read clustering assumes.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -67,6 +71,12 @@ class OligoLayout:
         return 256**self.index_bytes
 
 
+def _whiten(index: int, chunk: bytes) -> bytes:
+    """XOR *chunk* with the mask for strand *index* (its own inverse)."""
+    mask = hashlib.shake_128(index.to_bytes(8, "big")).digest(len(chunk))
+    return bytes(a ^ b for a, b in zip(chunk, mask))
+
+
 def encode_payload(
     data: bytes, layout: OligoLayout = OligoLayout()
 ) -> List[str]:
@@ -90,7 +100,7 @@ def encode_payload(
     for index, chunk in enumerate(chunks):
         padded = chunk.ljust(layout.payload_bytes, b"\x00")
         header = index.to_bytes(layout.index_bytes, "big")
-        strands.append(bits_to_bases(header + padded))
+        strands.append(bits_to_bases(header + _whiten(index, padded)))
     return strands
 
 
@@ -106,7 +116,7 @@ def parse_strand(
     except ValueError:
         return None
     index = int.from_bytes(raw[: layout.index_bytes], "big")
-    return index, raw[layout.index_bytes :]
+    return index, _whiten(index, raw[layout.index_bytes :])
 
 
 def decode_strands(

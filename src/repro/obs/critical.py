@@ -12,9 +12,9 @@ top``) and the regression-attribution comparison:
   -- co-batching overhead (waiting for batch-mates, merge bookkeeping);
 - ``eval``: ``worker`` spans -- the actual evaluation, including its
   bridged kernel sub-spans;
-- ``transport``: ``transport.*`` / ``shm.*`` spans -- process-shard
-  encode and shared-memory traffic (ephemeral spans, so they appear in
-  raw exports and here, never in canonical identity);
+- ``transport``: ``transport.*`` / ``shm.*`` spans -- wire and
+  shared-memory traffic (ephemeral spans, so they appear in raw
+  exports and here, never in canonical identity);
 - ``cache``: ``cache.*`` spans;
 - ``route_merge``: ``cluster.request`` time not covered by the shard's
   ``request`` span -- router dispatch, response pump, replay overhead;

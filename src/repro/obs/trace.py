@@ -213,8 +213,8 @@ def canonical_spans(
     ids collapse to their first record (a replayed attempt of the same
     request re-derives the same ids, so a kill-and-replay trace equals
     its fault-free twin), and spans whose volatile dict carries
-    ``ephemeral: True`` (execution-mode artifacts like the shm
-    transport encode) are excluded entirely.
+    ``ephemeral: True`` (execution-mode artifacts that exist on one
+    backend only, such as transport spans) are excluded entirely.
     """
     by_trace: Dict[str, List[Dict[str, Any]]] = {}
     seen_ids: set = set()

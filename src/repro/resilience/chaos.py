@@ -15,7 +15,7 @@ actions.  Three verbs cover the scenarios the ROADMAP's sharded tier
 must survive:
 
 - ``kill``  -- crash one shard (its queue and in-flight work are lost
-  and must be recovered by supervisor restart + ledger replay);
+  and must be recovered by supervisor restart + replay);
 - ``delay`` -- stall the submission path for ``delay_s`` (a degraded
   link / slow shard: tail latency must stay bounded);
 - ``burst`` -- submit ``copies`` duplicates of the current request

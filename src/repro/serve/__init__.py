@@ -17,7 +17,7 @@ batching, async, caching"):
 - :class:`ShardCluster` / :class:`ShardRouter` / :class:`Supervisor`
   -- fault-tolerant sharding: consistent-hash routing on request
   digests, heartbeat/deadline failure detection, shard restart with
-  ledger-replay recovery, per-workload circuit breakers;
+  replay of the lost requests, per-workload circuit breakers;
 - :class:`ProcessShard` -- a shard hosted in its own worker process
   (``backend="process"``): true multi-core scaling with the same
   exactly-once and replay guarantees, metrics/ledger collected across

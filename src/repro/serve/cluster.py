@@ -15,11 +15,11 @@ layer:
   :class:`~repro.resilience.CircuitBreaker` admission;
 - :class:`Supervisor` -- heartbeat liveness + progress-deadline stall
   detection; a dead shard is restarted (fresh service, bumped
-  incarnation) and its lost in-flight requests are *replayed*: when
-  the run ledger is enabled the replay set is derived from the event
-  stream (``cluster.submit`` without a matching ``cluster.done``, via
-  :func:`incomplete_from_ledger`), with the in-memory table as the
-  safety net that supplies the futures;
+  incarnation) and its lost in-flight requests are *replayed* from the
+  in-memory in-flight table, which also holds their futures.  The run
+  ledger records the same story (``cluster.submit`` without a matching
+  ``cluster.done``), and :func:`incomplete_from_ledger` audits it
+  offline: it names exactly the requests a restart replays;
 - :func:`run_chaos_campaign` -- the deterministic chaos driver: a
   seeded :class:`~repro.resilience.ChaosPolicy` injects shard kills,
   submission delays and duplicate bursts at pinned request indices
@@ -32,7 +32,7 @@ each shard in its own worker process
 (:class:`~repro.serve.procshard.ProcessShard`): true multi-core
 scaling, real ``kill -9`` failure modes, and cross-process metric /
 ledger collection, with the same router, exactly-once futures, circuit
-breakers and ledger-replay recovery driving both.
+breakers and replay recovery driving both.
 
 Exactly-once delivery is enforced structurally: every cluster future
 is resolved under the cluster lock by the *first* shard completion for
@@ -66,6 +66,13 @@ from repro.serve.service import EvaluationService
 #: per shard.
 BACKENDS = ("inproc", "process")
 
+#: Virtual nodes per shard on the cluster's consistent-hash ring.
+REPLICAS = 64
+
+#: How long a dispatch keeps rerouting while no shard is alive before
+#: it rejects the request with ``reason="no live shards"``.
+REROUTE_TIMEOUT_S = 10.0
+
 
 class ShardRouter:
     """Consistent-hash routing of request digests onto shard ids.
@@ -77,7 +84,7 @@ class ShardRouter:
     survivors instead of dumping them on one neighbor.
     """
 
-    def __init__(self, num_shards: int, replicas: int = 64) -> None:
+    def __init__(self, num_shards: int, replicas: int = REPLICAS) -> None:
         if num_shards < 1:
             raise ValidationError("num_shards must be >= 1")
         if replicas < 1:
@@ -137,9 +144,9 @@ def incomplete_from_ledger(
     responsible) closed by ``cluster.done`` or ``cluster.error``.  The
     ids returned are those whose story is still open -- restricted to
     *shard* when given -- in first-submission order, which is exactly
-    the set a supervisor must re-submit after that shard dies.  Pure
-    function of the event list, so it is testable offline against an
-    exported ledger.
+    the set a supervisor re-submits after that shard dies.  Pure
+    function of the event list: the offline audit of a restart's
+    replay against an exported ledger.
     """
     last_shard: Dict[int, int] = {}
     order: List[int] = []
@@ -273,7 +280,6 @@ class ShardCluster:
         self,
         *,
         num_shards: int = 2,
-        replicas: int = 64,
         batch_size: int = 8,
         batch_wait_s: float = 0.005,
         max_queue: int = 256,
@@ -286,7 +292,6 @@ class ShardCluster:
         supervise: bool = True,
         heartbeat_s: float = 0.02,
         stall_timeout_s: Optional[float] = 30.0,
-        reroute_timeout_s: float = 10.0,
         backend: str = "inproc",
         shard_heartbeat_s: float = 0.05,
     ) -> None:
@@ -300,10 +305,9 @@ class ShardCluster:
         self.num_shards = num_shards
         self.backend = backend
         self.shard_heartbeat_s = shard_heartbeat_s
-        self.router = ShardRouter(num_shards, replicas=replicas)
+        self.router = ShardRouter(num_shards)
         self.breaker_threshold = breaker_threshold
         self.breaker_recovery_s = breaker_recovery_s
-        self.reroute_timeout_s = reroute_timeout_s
         self._service_kwargs: Dict[str, Any] = {
             "batch_size": batch_size,
             "batch_wait_s": batch_wait_s,
@@ -515,7 +519,7 @@ class ShardCluster:
         racing this dispatch can only over-recover (replay a request
         the original submit also lands) -- the set-once future keeps
         delivery exactly-once either way."""
-        deadline = time.monotonic() + self.reroute_timeout_s
+        deadline = time.monotonic() + REROUTE_TIMEOUT_S
         while True:
             if self._stopped:
                 raise AdmissionRejected(
@@ -693,24 +697,12 @@ class ShardCluster:
         self._replay(shard_id, lost)
 
     def _replay(self, shard_id: int, lost: List[int]) -> None:
-        """Re-submit the requests shard *shard_id* lost.
-
-        With the run ledger enabled the replay set comes from the
-        event stream itself (:func:`incomplete_from_ledger`) -- the
-        crash evidence an operator can audit -- and the in-memory
-        table covers any ids the capped ledger dropped.  The table
-        always supplies the futures; a ledger cannot resurrect those.
-        """
+        """Re-submit the requests shard *shard_id* lost, in request-id
+        order.  The in-flight table is the replay source: it holds the
+        futures, and its open set for the shard is the one
+        :func:`incomplete_from_ledger` reads off the run ledger."""
         ledger = get_ledger()
-        rids = list(lost)
-        if ledger.enabled:
-            from_ledger = incomplete_from_ledger(
-                ledger.events(), shard=shard_id
-            )
-            known = set(lost)
-            rids = [rid for rid in from_ledger if rid in known]
-            rids += [rid for rid in lost if rid not in set(from_ledger)]
-        for rid in rids:
+        for rid in lost:
             with self._lock:
                 entry = self._inflight.get(rid)
                 if entry is None or entry.resolved:

@@ -11,25 +11,21 @@ on a response queue:
 - the parent keeps the shard-local future table, so the cluster's
   set-once exactly-once futures work unchanged across the process
   boundary;
-- the child streams back ``done`` records (``RunResult`` wire form),
-  periodic ``stats`` heartbeats carrying its
-  :class:`~repro.serve.metrics.ServiceMetrics` snapshot, and -- when the
-  run ledger was enabled at spawn time -- its ledger events, which the
-  parent merges into the process-wide ledger tagged with the shard id
-  (cross-process metric/ledger collection);
-- large ndarray request configs ride the zero-copy shared-memory
-  transport of :mod:`repro.exec.shm`: the parent swaps them for leased
-  :class:`~repro.exec.shm.ShmDescriptor` wire forms before the command
-  queue (``transport="auto"`` above ``shm_threshold_bytes``, same
-  contract as :class:`~repro.exec.parallel.ParallelEvaluator`), the
-  child attaches zero-copy views, and the lease is released when the
-  ``done``/``reject`` answer drains -- or at shutdown for stranded
-  requests, whose cluster replay re-encodes from the original request;
+- every request crosses in one form, the ``EvalRequest`` wire dict
+  pickled by the queue (ndarray configs included);
+- the child streams back ``done`` records (``RunResult`` wire form)
+  and -- when the run ledger or tracing was enabled at spawn time --
+  its ledger events and spans, flushed whenever it sits idle for
+  ``heartbeat_s``; the parent merges them tagged with the shard id.
+  Metrics are pulled, not pushed: :meth:`ProcessShard.snapshot` asks
+  the live worker for its :class:`~repro.serve.metrics.ServiceMetrics`
+  snapshot;
 - process liveness *is* the heartbeat: ``kill -9`` on the child makes
-  :attr:`ProcessShard.alive` go false, the
-  :class:`~repro.serve.cluster.Supervisor` restarts the slot with a
-  fresh incarnation, and the cluster replays the stranded requests from
-  the run ledger onto survivors exactly as in the in-process design.
+  :attr:`ProcessShard.alive` go false (a caller blocked on admission
+  is released with ``reason="stopped"`` and rerouted by the cluster),
+  the :class:`~repro.serve.cluster.Supervisor` restarts the slot with a
+  fresh incarnation, and the cluster replays the stranded requests
+  onto survivors exactly as in the in-process design.
 
 A shard killed after computing a result but before the parent drained
 the response pipe can still deliver that result; the cluster's set-once
@@ -51,27 +47,20 @@ import multiprocessing
 import os
 import queue as _queue
 import threading
-import time
 from concurrent.futures import Future
 from functools import partial
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.api import RunResult
 from repro.core.errors import ValidationError
-from repro.exec.shm import (
-    DEFAULT_THRESHOLD_BYTES,
-    ShmArena,
-    decode_payload,
-    payload_bytes,
-)
 from repro.obs.ledger import RunLedger, get_ledger
 from repro.obs.trace import TraceContext, get_tracer
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.request import AdmissionRejected, EvalRequest
 
-#: Transports a shard accepts for large request configs (same contract
-#: as :class:`~repro.exec.parallel.ParallelEvaluator`).
-_TRANSPORTS = ("auto", "pickle", "shm")
+#: How long :meth:`ProcessShard.wait_ready` waits for a spawned worker
+#: to finish importing when the caller names no timeout.
+START_TIMEOUT_S = 60.0
 
 #: Keys of the picklable service spec a worker process builds its
 #: :class:`EvaluationService` from.  ``parallel`` must be None/bool/int
@@ -122,9 +111,9 @@ def _shard_worker_main(
     plus a trailing trace wire context when the parent runs under
     tracing -- ``("snapshot", token)``, ``("stop", drain)``.  Child ->
     parent: ``("ready", pid)``, ``("done", rid, result_json)``,
-    ``("reject", rid, reason, message)``, ``("stats", snapshot)``,
-    ``("events", records)``, ``("spans", records)``, ``("snapshot",
-    token, snapshot)``, ``("stopped", snapshot)``.  Every child message
+    ``("reject", rid, reason, message)``, ``("events", records)``,
+    ``("spans", records)``, ``("snapshot", token, snapshot)``,
+    ``("stopped", snapshot)``.  Every child message
     is prefixed with ``(kind, shard_id, incarnation, ...)`` so the
     parent can attribute it even in logs.
     """
@@ -145,15 +134,7 @@ def _shard_worker_main(
 
         tracer = enable_tracing()
     ensure_default_workloads()
-    service = EvaluationService(
-        batch_size=spec["batch_size"],
-        batch_wait_s=spec["batch_wait_s"],
-        max_queue=spec["max_queue"],
-        parallel=spec["parallel"],
-        cache=spec["cache"],
-        policy=spec["policy"],
-        default_timeout_s=spec["default_timeout_s"],
-    )
+    service = EvaluationService(**spec)
     service.shard_index = shard_id
     events_sent = 0
     spans_sent = 0
@@ -198,17 +179,12 @@ def _shard_worker_main(
         except _queue.Empty:
             _flush_spans()
             _flush_events()
-            _send("stats", service.snapshot())
             continue
         kind = message[0]
         if kind == "submit":
             rid, payload = message[1], message[2]
             wire = message[3] if len(message) > 3 else None
             try:
-                # Large configs arrive as ShmDescriptor wire forms; the
-                # decode is a zero-copy attach, not a deserialization.
-                payload = dict(payload)
-                payload["config"] = decode_payload(payload["config"])
                 future = service.submit_request(
                     EvalRequest.from_json(payload),
                     block=True,
@@ -274,7 +250,7 @@ class ProcessShard:
     :class:`EvaluationService` shard -- ``submit_request``/``alive``/
     ``kill``/``shutdown``/``snapshot`` -- with the future table kept on
     the parent side of the pipe, which is what lets the cluster's
-    exactly-once and ledger-replay machinery work unchanged when the
+    exactly-once and replay machinery work unchanged when the
     shard is a real process that can die under ``kill -9``.
     """
 
@@ -285,28 +261,12 @@ class ProcessShard:
         *,
         incarnation: int = 0,
         heartbeat_s: float = 0.05,
-        start_timeout_s: float = 60.0,
-        transport: str = "auto",
-        shm_threshold_bytes: int = DEFAULT_THRESHOLD_BYTES,
-        arena: Optional[ShmArena] = None,
     ) -> None:
         if heartbeat_s <= 0:
             raise ValidationError("heartbeat_s must be positive")
-        if transport not in _TRANSPORTS:
-            raise ValidationError(
-                f"transport must be one of {_TRANSPORTS}, got {transport!r}"
-            )
-        if shm_threshold_bytes < 1:
-            raise ValidationError("shm_threshold_bytes must be >= 1")
-        self.transport = transport
-        self.shm_threshold_bytes = shm_threshold_bytes
-        self._arena = arena
-        self._owns_arena = arena is None
-        self._rid_leases: Dict[int, Tuple[str, ...]] = {}
         self.index = index
         self.incarnation = incarnation
         self.heartbeat_s = heartbeat_s
-        self.start_timeout_s = start_timeout_s
         self._spec = validate_process_spec(spec)
         self.max_queue = int(self._spec["max_queue"])
         self._ctx = multiprocessing.get_context("spawn")
@@ -322,7 +282,6 @@ class ProcessShard:
         self._stopped = False
         self._ready = threading.Event()
         self._last_snapshot: Dict[str, Any] = ServiceMetrics().snapshot()
-        self._last_heartbeat = time.monotonic()
         self._snapshot_waiters: Dict[int, Tuple[threading.Event, list]] = {}
         self._snapshot_token = 0
         self.pid: Optional[int] = None
@@ -365,44 +324,13 @@ class ProcessShard:
         """Block until the worker finished importing and reported ready
         (benches call this so spawn cost stays out of measured time)."""
         return self._ready.wait(
-            self.start_timeout_s if timeout is None else timeout
+            START_TIMEOUT_S if timeout is None else timeout
         )
-
-    def heartbeat_age_s(self) -> float:
-        return time.monotonic() - self._last_heartbeat
 
     @property
     def in_flight(self) -> int:
         with self._lock:
             return self._submitted - self._finished
-
-    # ------------------------------------------------------------ transport
-
-    @property
-    def arena(self) -> ShmArena:
-        """The shard's shared-memory arena (created on first shm use;
-        cluster callers may inject one shared arena across shards)."""
-        if self._arena is None:
-            self._arena = ShmArena()
-        return self._arena
-
-    def _encode_config(self, payload: Dict[str, Any]) -> Tuple[str, ...]:
-        """Swap large ndarrays in ``payload["config"]`` for leased
-        descriptors; returns the lease digests (empty = plain pickle)."""
-        if self.transport == "pickle":
-            return ()
-        config = payload["config"]
-        if (
-            self.transport == "auto"
-            and payload_bytes(config, self.shm_threshold_bytes)
-            < self.shm_threshold_bytes
-        ):
-            return ()
-        encoded, leases = self.arena.encode(
-            config, self.shm_threshold_bytes
-        )
-        payload["config"] = encoded
-        return tuple(leases)
 
     # ------------------------------------------------------------ admission
 
@@ -415,9 +343,11 @@ class ProcessShard:
     ) -> "Future[RunResult]":
         """Queue *request* into the worker; parent-side bounded
         admission mirrors the child service's ``max_queue`` contract.
-        *trace_ctx* rides the command queue as a trailing wire element,
-        so the child service stitches its spans under the caller's
-        (router's) span."""
+        A caller blocked on a full queue is released with
+        ``reason="stopped"`` once the worker process is gone, however
+        it died.  *trace_ctx* rides the command queue as a trailing
+        wire element, so the child service stitches its spans under the
+        caller's (router's) span."""
         if not self.alive:
             raise AdmissionRejected(
                 "shard process is not running", reason="stopped"
@@ -433,7 +363,7 @@ class ProcessShard:
                         reason="queue full",
                     )
                 self._space.wait(self.heartbeat_s)
-                if self._stopped or self._killed:
+                if not self.alive:
                     raise AdmissionRejected(
                         "shard process is not running", reason="stopped"
                     )
@@ -447,42 +377,14 @@ class ProcessShard:
             if trace_ctx is not None and tracer.enabled
             else None
         )
-        payload = request.to_json()
-        leases: Tuple[str, ...] = ()
         try:
-            encode_start = time.time()
-            leases = self._encode_config(payload)
-            if leases:
-                with self._lock:
-                    self._rid_leases[rid] = leases
-                if wire is not None:
-                    # Ephemeral: a process-backend transport artifact,
-                    # visible in raw exports and the critical-path
-                    # breakdown but excluded from canonical identity
-                    # (an inproc run has no such span).
-                    tracer.record_span(
-                        "transport.encode",
-                        trace_id=trace_ctx.trace_id,
-                        parent_id=trace_ctx.span_id,
-                        order=0,
-                        start_s=encode_start,
-                        end_s=time.time(),
-                        volatile={
-                            "ephemeral": True,
-                            "shard": self.index,
-                            "leases": len(leases),
-                        },
-                    )
-            self._cmd.put(("submit", rid, payload) + (
+            self._cmd.put(("submit", rid, request.to_json()) + (
                 (wire,) if wire is not None else ()
             ))
         except Exception as exc:
             with self._lock:
                 self._futures.pop(rid, None)
-                self._rid_leases.pop(rid, None)
                 self._submitted -= 1
-            if leases:
-                self.arena.release_all(list(leases))
             raise AdmissionRejected(
                 f"shard command pipe is down: {exc}", reason="stopped"
             )
@@ -520,7 +422,6 @@ class ProcessShard:
     def _handle(self, message: Tuple) -> None:
         kind = message[0]
         payload = message[3:]
-        self._last_heartbeat = time.monotonic()
         if kind == "ready":
             self.pid = payload[0]
             self._ready.set()
@@ -536,8 +437,6 @@ class ProcessShard:
                     reason=reason,
                 ),
             )
-        elif kind == "stats":
-            self._last_snapshot = payload[0]
         elif kind == "events":
             ledger = get_ledger()
             if ledger.enabled:
@@ -577,14 +476,9 @@ class ProcessShard:
     ) -> None:
         with self._lock:
             future = self._futures.pop(rid, None)
-            leases = self._rid_leases.pop(rid, ())
             if future is not None:
                 self._finished += 1
                 self._space.notify_all()
-        if leases and self._arena is not None:
-            # The worker answered, so its view served its purpose; the
-            # last lease parks the segment in the arena's idle LRU.
-            self._arena.release_all(list(leases))
         if future is None:
             return
         if error is not None:
@@ -596,7 +490,7 @@ class ProcessShard:
 
     def kill(self) -> None:
         """Crash the shard the way an OOM kill would: SIGKILL the
-        worker, strand its futures.  Recovery (restart + ledger replay)
+        worker, strand its futures.  Recovery (restart + replay)
         is the cluster supervisor's job."""
         self._killed = True
         try:
@@ -631,19 +525,7 @@ class ProcessShard:
         with self._lock:
             stranded = list(self._futures.values())
             self._futures.clear()
-            stranded_leases = [
-                digest
-                for leases in self._rid_leases.values()
-                for digest in leases
-            ]
-            self._rid_leases.clear()
             self._space.notify_all()
-        if stranded_leases and self._arena is not None:
-            # Stranded requests are replayed (re-encoded) elsewhere by
-            # the cluster; their payload leases die with this shard.
-            self._arena.release_all(stranded_leases)
-        if self._arena is not None and self._owns_arena:
-            self._arena.close()
         for future in stranded:
             if not future.done():
                 future.set_exception(
@@ -665,8 +547,9 @@ class ProcessShard:
         """The child service's metrics snapshot.
 
         Queries the live worker synchronously; a dead or unresponsive
-        worker answers with the last heartbeat snapshot, so the cluster
-        aggregate never blocks on a corpse.
+        worker answers with the last snapshot it sent (the ``stopped``
+        snapshot once it shut down), so the cluster aggregate never
+        blocks on a corpse.
         """
         if self.alive and self._ready.is_set():
             with self._lock:
@@ -691,6 +574,7 @@ class ProcessShard:
 __all__ = [
     "ProcessShard",
     "SPEC_KEYS",
+    "START_TIMEOUT_S",
     "merge_shard_events",
     "validate_process_spec",
 ]

@@ -50,6 +50,25 @@ class _NapWorkload:
         )
 
 
+class _StuckService:
+    """A shard stand-in that reports alive but never completes
+    anything: its futures dangle forever."""
+
+    def __init__(self):
+        self.alive = True
+        self.killed = False
+
+    def submit_request(self, request, block=False):
+        return Future()
+
+    def kill(self):
+        self.killed = True
+        self.alive = False
+
+    def shutdown(self, **kwargs):
+        pass
+
+
 @pytest.fixture(autouse=True)
 def _register():
     register_workload(_NapWorkload(), replace=True)
@@ -374,23 +393,6 @@ class TestShardCluster:
         assert cluster._slots[1].incarnation == 1
 
     def test_deadline_detects_wedged_shard(self):
-        class _StuckService:
-            """Reports alive but never completes anything."""
-
-            def __init__(self):
-                self.alive = True
-                self.killed = False
-
-            def submit_request(self, request, block=False):
-                return Future()  # dangles forever
-
-            def kill(self):
-                self.killed = True
-                self.alive = False
-
-            def shutdown(self, **kwargs):
-                pass
-
         cluster = _cluster(num_shards=1)
         stuck = _StuckService()
         try:
@@ -404,6 +406,42 @@ class TestShardCluster:
         assert restarted == [0]
         assert stuck.killed
         assert result.ok
+
+    def test_replay_set_is_the_ledger_audit(self):
+        """A restart replays from the in-memory in-flight table; the run
+        ledger must tell the same story: the ``cluster.replay`` rids are
+        exactly what :func:`incomplete_from_ledger` reads off the events
+        written before the restart, in the same order."""
+        ledger = get_ledger()
+        ledger.enable()
+        ledger.reset()
+        cluster = _cluster(num_shards=2)
+        try:
+            cluster._slots[0].service = _StuckService()
+            requests = _nap_requests(12)
+            owners = [
+                cluster.router.route(request.digest) for request in requests
+            ]
+            assert owners.count(0) >= 2
+            futures = [cluster.submit_request(r) for r in requests]
+            cluster.kill_shard(0)
+            assert cluster.check_shards() == [0]
+            results = [f.result(timeout=30.0) for f in futures]
+            events = ledger.events()
+        finally:
+            cluster.shutdown()
+            ledger.disable()
+        assert all(r.ok for r in results)
+        cut = next(
+            index for index, record in enumerate(events)
+            if record["event"] == "shard.restarted"
+        )
+        replayed = [
+            record["rid"] for record in events
+            if record["event"] == "cluster.replay"
+        ]
+        assert len(replayed) == owners.count(0)
+        assert replayed == incomplete_from_ledger(events[:cut], shard=0)
 
     def test_breaker_opens_and_sheds_through_cluster(self):
         class _Exploding:
