@@ -26,19 +26,12 @@ shared RNG stream (the noise draw dominates both paths) and the list
 scheduler by its sequential resource arbitration, so they are held to
 the no-regression bar only.
 
-Two further studies ride along:
-
-- **jit tier**: the edit-distance band kernel and the SPARTA cycle
-  loop also ship a numba-compiled ``impl="jit"``.  Equivalence against
-  the scalar oracle is verified *always* (the ``@njit`` shim runs the
-  kernels as plain Python when numba is absent); the >=2x-over-numpy
-  speed gate is timed only when numba is installed and reported as a
-  ``skip`` -- not a failure -- otherwise.
-- **transport**: pickle vs zero-copy shared-memory
-  (:mod:`repro.exec.shm`) for large-ndarray maps through
-  :class:`~repro.exec.parallel.ParallelEvaluator`; the gate is shm
-  >=2x faster than pickle at >=8 MB payloads on 4 workers, with
-  results bit-identical to a serial reference.
+A jit tier rides along: the edit-distance band kernel and the SPARTA
+cycle loop also ship a numba-compiled ``impl="jit"``.  Equivalence
+against the scalar oracle is verified *always* (the ``@njit`` shim runs
+the kernels as plain Python when numba is absent); the >=2x-over-numpy
+speed gate is timed only when numba is installed and reported as a
+``skip`` -- not a failure -- otherwise.
 
 The ``check`` block (``passed`` + prefixed ``messages``) lands in the
 JSON artifact so ``benchmarks/summarize.py`` can render gate rows.
@@ -58,7 +51,6 @@ from repro.core.jit import numba_available
 from repro.dna.ecc import ReedSolomonCodec
 from repro.dna.editdistance import CellUpdateCounter, levenshtein_banded
 from repro.axc.htconv import FovealRegion, htconv_x2
-from repro.exec.parallel import ParallelEvaluator
 from repro.hls.ir import DataflowGraph, OpKind, Operation
 from repro.hls.scheduling import schedule_list
 from repro.imc.crossbar import AnalogCrossbar, CrossbarConfig
@@ -72,7 +64,6 @@ FULL = {
     "sparta": {"nodes": 512, "memory_latency": 200},
     "hls": {"ops": 1500},
     "ecc": {"n": 255, "k": 223, "messages": 40},
-    "transport": {"sizes_mb": (1, 8, 64), "tasks": 8, "workers": 4},
 }
 QUICK = {
     "crossbar": {"rows": 32, "cols": 32, "batch": 24},
@@ -81,7 +72,6 @@ QUICK = {
     "sparta": {"nodes": 128, "memory_latency": 200},
     "hls": {"ops": 300},
     "ecc": {"n": 255, "k": 223, "messages": 6},
-    "transport": {"sizes_mb": (1, 8), "tasks": 8, "workers": 4},
 }
 
 EXACT = "exact"
@@ -360,72 +350,6 @@ def run_kernel_study(sizes, repeats: int = 2):
     }
 
 
-# ----------------------------------------------------------- transport
-
-
-def _transport_probe(task):
-    """Strided reduction over the shipped payload (module-level so the
-    process pool can pickle it).  Cheap on purpose: the map's cost is
-    then dominated by how the payload crossed the process boundary."""
-    return float(task["payload"][::1024].sum())
-
-
-def run_transport_study(spec, repeats: int = 2):
-    """Time pickle vs shared-memory transport for large-ndarray maps.
-
-    Every task of an 8-task map carries the same float64 payload; each
-    timed map includes pool startup, which both transports pay
-    identically.  Worker results must equal a serial in-process
-    reference exactly -- the attached shm views alias the same bytes
-    the pickle copies carry.
-    """
-    rows = []
-    for payload_mb in spec["sizes_mb"]:
-        payload = np.random.default_rng(4242).standard_normal(
-            payload_mb * (1 << 20) // 8
-        )
-        tasks = [
-            {"payload": payload, "cell": i} for i in range(spec["tasks"])
-        ]
-        expected = [_transport_probe(task) for task in tasks]
-        row = {
-            "payload_mb": payload_mb,
-            "tasks": spec["tasks"],
-            "workers": spec["workers"],
-            "equivalent": True,
-        }
-        for transport in ("pickle", "shm"):
-            evaluator = ParallelEvaluator(
-                max_workers=spec["workers"],
-                mode="process",
-                transport=transport,
-                shm_threshold_bytes=1 << 20,
-            )
-            best = float("inf")
-            try:
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    got = evaluator.map(_transport_probe, tasks)
-                    best = min(best, time.perf_counter() - start)
-                    row["equivalent"] = (
-                        row["equivalent"] and got == expected
-                    )
-            finally:
-                evaluator.close()
-                if evaluator._arena is not None:
-                    evaluator._arena.close()
-            row[f"{transport}_s"] = best
-            if transport == "shm":
-                row["shm_engaged"] = evaluator.last_transport == "shm"
-        row["speedup_shm"] = (
-            row["pickle_s"] / row["shm_s"]
-            if row["shm_s"]
-            else float("inf")
-        )
-        rows.append(row)
-    return rows
-
-
 def render(study) -> str:
     from repro.core.tables import Table
 
@@ -449,29 +373,10 @@ def render(study) -> str:
     return table.render()
 
 
-def render_transport(study) -> str:
-    from repro.core.tables import Table
-
-    table = Table(
-        ["payload", "tasks", "workers", "pickle (s)", "shm (s)",
-         "speedup", "equivalent"],
-        title="bench_kernels -- pickle vs shared-memory transport",
-    )
-    for row in study["transport"]:
-        table.add_row(
-            [f"{row['payload_mb']} MB", row["tasks"], row["workers"],
-             round(row["pickle_s"], 4), round(row["shm_s"], 4),
-             round(row["speedup_shm"], 2), row["equivalent"]]
-        )
-    return table.render()
-
-
 def build_check(
     study,
     min_speedup: float = 0.8,
     jit_min_speedup: float = 2.0,
-    shm_min_speedup: float = 2.0,
-    shm_gate_mb: int = 8,
 ) -> dict:
     """Evaluate every gate into the JSON ``check`` block.
 
@@ -521,27 +426,6 @@ def build_check(
                 messages.append(
                     f"skip jit speed {name} (numba not installed)"
                 )
-    for row in study.get("transport", ()):
-        mb = row["payload_mb"]
-        gate(
-            row["equivalent"] and row["shm_engaged"],
-            f"FAIL transport {mb} MB: shm diverged from the serial "
-            "reference or never engaged",
-            f"ok transport {mb} MB equivalence",
-        )
-        if mb >= shm_gate_mb:
-            gate(
-                row["speedup_shm"] >= shm_min_speedup,
-                f"FAIL transport {mb} MB: shm at "
-                f"{row['speedup_shm']:.2f}x pickle "
-                f"(< {shm_min_speedup:.1f}x zero-copy gate)",
-                f"ok transport {mb} MB ({row['speedup_shm']:.2f}x)",
-            )
-        else:
-            messages.append(
-                f"skip transport gate {mb} MB (below the "
-                f"{shm_gate_mb} MB gate size)"
-            )
     return {"passed": failures == 0, "messages": messages}
 
 
@@ -565,21 +449,15 @@ def main(argv=None) -> int:
                         help="write the study JSON here")
     parser.add_argument("--check", action="store_true",
                         help="assert equivalence, the >=0.8x numpy "
-                        "no-regression gate, the >=2x jit gate (when "
-                        "numba is installed), and the >=2x shm "
-                        "transport gate at >=8 MB payloads")
+                        "no-regression gate, and the >=2x jit gate "
+                        "(when numba is installed)")
     args = parser.parse_args(argv)
 
     sizes = QUICK if args.quick else FULL
     study = run_kernel_study(sizes, repeats=args.repeats)
     study["quick"] = bool(args.quick)
-    study["transport"] = run_transport_study(
-        sizes["transport"], repeats=args.repeats
-    )
     study["check"] = build_check(study)
     print(render(study))
-    print()
-    print(render_transport(study))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(study, fh, indent=1, sort_keys=True)
@@ -590,8 +468,7 @@ def main(argv=None) -> int:
 
 
 def test_kernel_bench_contract(benchmark):
-    """Pytest-benchmark entry: quick sizes, equivalence always on (the
-    pool-spawning transport study stays out -- it has its own tests)."""
+    """Pytest-benchmark entry: quick sizes, equivalence always on."""
     study = benchmark(lambda: run_kernel_study(QUICK, repeats=1))
     print()
     print(render(study))

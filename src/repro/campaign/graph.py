@@ -141,6 +141,39 @@ def _decode_refs(value: Any) -> Any:
     return value
 
 
+_REQUIRED = object()
+
+
+def _spec_field(
+    entry: Mapping[str, Any],
+    index: int,
+    key: str,
+    convert: Callable[[Any], Any] = str,
+    default: Any = _REQUIRED,
+) -> Any:
+    """``convert(entry[key])`` for node *index* of a JSON campaign
+    spec; a missing or malformed field raises a ValidationError naming
+    the node index and the field."""
+    if key in entry:
+        value = entry[key]
+    elif default is _REQUIRED:
+        raise ValidationError(f"campaign node {index}: missing {key!r}")
+    else:
+        value = default
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"campaign node {index}: bad {key!r} value {value!r} ({exc})"
+        ) from exc
+
+
+def _spec_config(value: Any) -> Dict[str, Any]:
+    if not isinstance(value, Mapping):
+        raise TypeError("config must be an object")
+    return _decode_refs(dict(value))
+
+
 @dataclass(frozen=True)
 class Gate:
     """Per-node validation: what a result must look like to count.
@@ -522,7 +555,11 @@ class CampaignGraph:
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "CampaignGraph":
         graph = cls(name=str(payload.get("name", "campaign")))
-        for entry in payload.get("nodes", ()):
+        for index, entry in enumerate(payload.get("nodes", ())):
+            if not isinstance(entry, Mapping):
+                raise ValidationError(
+                    f"campaign node {index}: must be a JSON object"
+                )
             kind = entry.get("kind", "eval")
             gate = (
                 Gate.from_json(entry["gate"]) if "gate" in entry else None
@@ -535,10 +572,12 @@ class CampaignGraph:
                     )
                 graph.add(
                     EvalNode(
-                        name=str(entry["name"]),
-                        workload=str(entry["workload"]),
-                        config=_decode_refs(dict(entry.get("config", {}))),
-                        seed=int(entry.get("seed", 0)),
+                        name=_spec_field(entry, index, "name"),
+                        workload=_spec_field(entry, index, "workload"),
+                        config=_spec_field(
+                            entry, index, "config", _spec_config, {}
+                        ),
+                        seed=_spec_field(entry, index, "seed", int, 0),
                         impl=entry.get("impl"),
                         deps=tuple(entry.get("deps", ())),
                         gate=gate,
@@ -551,8 +590,8 @@ class CampaignGraph:
             elif kind == "reduce":
                 graph.add(
                     ReduceNode(
-                        name=str(entry["name"]),
-                        op=str(entry["op"]),
+                        name=_spec_field(entry, index, "name"),
+                        op=_spec_field(entry, index, "op"),
                         params=dict(entry.get("params", {})),
                         deps=tuple(entry.get("deps", ())),
                         allow_failed_deps=bool(
@@ -563,7 +602,7 @@ class CampaignGraph:
                 )
             else:
                 raise ValidationError(
-                    f"unknown campaign node kind {kind!r}"
+                    f"campaign node {index}: unknown kind {kind!r}"
                 )
         return graph
 

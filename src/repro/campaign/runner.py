@@ -5,7 +5,7 @@ CampaignGraph` layer by topological layer.  Every independent
 :class:`~repro.campaign.graph.EvalNode` in a layer batches onto one
 backend -- the suite-wide ``parallel=``/``cache=`` engine, through the
 request path the service uses too (:mod:`repro.exec.requests`:
-sharding, shm transport, content-addressed caching, crash degradation
+sharding, content-addressed caching, crash degradation
 and never-cached errors apply for free), or a live
 :class:`~repro.serve.EvaluationService` -- while reductions fold in the
 coordinator.  Per-node validation gates run on every result;

@@ -237,11 +237,8 @@ def _cmd_exec(args: "argparse.Namespace") -> str:
     table.add_row(["serial", 1, len(specs), round(serial_s, 3),
                    "-", "-", "-"])
 
-    engine = None
     for label in ("parallel (cold)", "parallel (warm)"):
-        engine = ParallelEvaluator(
-            max_workers=workers, cache=cache, transport=args.transport
-        )
+        engine = ParallelEvaluator(max_workers=workers, cache=cache)
         before = cache.stats() if cache is not None else None
         start = time.perf_counter()
         with engine:
@@ -262,11 +259,6 @@ def _cmd_exec(args: "argparse.Namespace") -> str:
     if cache is not None:
         cache.close()
     footer = "results identical across serial/parallel/cached passes"
-    if engine is not None:
-        footer += (
-            f"; transport={args.transport} "
-            f"(last map used {engine.last_transport or 'none: no pool work'})"
-        )
     if args.cache_dir:
         footer += f"; persistent cache at {args.cache_dir}"
     return table.render() + "\n" + footer
@@ -1235,34 +1227,14 @@ def _demo_hls() -> None:
         schedule_list(body, {OpKind.MUL: muls, OpKind.ADD: 2})
 
 
-def _exec_demo_probe(task: dict) -> float:
-    """Reduce the demo map's shared payload (module-level: the process
-    pool pickles it by reference)."""
-    return float(task["payload"][::512].sum())
-
-
 def _demo_exec() -> None:
-    import numpy as np
-
-    from repro.exec import ParallelEvaluator, ResultCache
+    from repro.exec import ResultCache
     from repro.imc.sweep import crossbar_sweep, sweep_grid
 
     cache = ResultCache()
     specs = sweep_grid(6, rows=24, cols=24, num_inputs=4)
     crossbar_sweep(specs, cache=cache)  # cold: all misses
     crossbar_sweep(specs, cache=cache)  # warm: all hits
-    # Zero-copy transport: four tasks sharing one 2 MB payload, so the
-    # shm.register / shm.encode histograms become visible.
-    engine = ParallelEvaluator(
-        max_workers=2, mode="process", transport="shm"
-    )
-    payload = np.random.default_rng(15).standard_normal(1 << 18)
-    tasks = [{"payload": payload, "cell": i} for i in range(4)]
-    try:
-        engine.map(_exec_demo_probe, tasks)
-    finally:
-        engine.close()
-        engine.arena.close()
 
 
 _PROFILE_DEMOS = {
@@ -1367,15 +1339,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=16,
         help="exec: number of campaign cells to sweep",
-    )
-    parser.add_argument(
-        "--transport",
-        choices=("auto", "pickle", "shm"),
-        default="auto",
-        help="exec: how task payloads reach the process pool -- "
-        "'pickle' copies, 'shm' ships large ndarrays as zero-copy "
-        "shared-memory descriptors, 'auto' (default) switches to shm "
-        "above a 1 MB payload threshold",
     )
     parser.add_argument(
         "--cache-dir",

@@ -10,10 +10,8 @@ of identical design points cost a lookup instead of a simulation.
 Entry points:
 
 - :class:`ParallelEvaluator` -- ordered, deterministic fan-out over
-  ``concurrent.futures`` with per-task timeouts and a zero-copy
-  ``transport="shm"`` path for large ndarray payloads;
-- :class:`ShmArena` / :class:`ShmDescriptor` -- content-addressed,
-  refcounted shared-memory segments behind that transport;
+  ``concurrent.futures`` with per-task timeouts and worker-crash
+  recovery;
 - :class:`ResultCache` / :func:`config_digest` -- SHA-256
   content-addressed LRU result store with an atomic on-disk backing;
 - :func:`make_evaluator` / :func:`coerce_cache` -- adapters behind the
@@ -29,22 +27,12 @@ from repro.exec.parallel import (
     coerce_cache,
     make_evaluator,
 )
-from repro.exec.shm import (
-    ShmArena,
-    ShmDescriptor,
-    attach_view,
-    decode_payload,
-)
 
 __all__ = [
     "ParallelEvaluator",
     "ResultCache",
-    "ShmArena",
-    "ShmDescriptor",
-    "attach_view",
     "canonical_payload",
     "coerce_cache",
     "config_digest",
-    "decode_payload",
     "make_evaluator",
 ]

@@ -135,13 +135,11 @@ def _memo_key(obj: Any) -> Optional[Tuple[Any, ...]]:
     """Memo key for *obj*, or ``None`` when it must be digested afresh.
 
     Frozen dataclasses key by identity (fields cannot be rebound).
-    ndarrays -- the dominant payload of zero-copy campaigns, and by far
-    the most expensive objects to canonicalize (an element-wise
-    ``tolist()`` walk) -- key by ``(id, nbytes)``, the same scheme the
-    :class:`~repro.exec.shm.ShmArena` content memo uses: the entry's
-    strong reference pins the id, and the convention (shared with the
-    arena) is that arrays handed to evaluation configs are not mutated
-    in place afterwards.
+    ndarrays -- by far the most expensive objects to canonicalize (an
+    element-wise ``tolist()`` walk) -- key by ``(id, nbytes)``: the
+    entry's strong reference pins the id, and the convention is that
+    arrays handed to evaluation configs are not mutated in place
+    afterwards.
     """
     if isinstance(obj, np.ndarray):
         return ("ndarray", id(obj), obj.nbytes)

@@ -20,11 +20,9 @@ path -- while guaranteeing the properties campaigns rely on:
 - **content-addressed reuse**: an attached
   :class:`~repro.exec.cache.ResultCache` memoizes cells across calls
   and processes, with duplicate keys inside one batch computed once;
-- **zero-copy transport**: with ``transport="shm"`` (or ``"auto"``
-  above a payload-size threshold) large ndarray payloads cross the
-  process boundary as shared-memory descriptors instead of pickle
-  copies -- see :mod:`repro.exec.shm`; the thread/serial backends,
-  which never pickle, bypass the transport;
+- **pickle transport**: process-pool tasks and results cross the
+  process boundary as pickles; the thread/serial backends share the
+  parent's address space and never pickle;
 - **worker-crash recovery**: a dead worker process
   (``BrokenProcessPool``) no longer aborts the whole map as a raw
   RuntimeError.  Completed chunks are kept, suspect tasks are
@@ -67,16 +65,9 @@ from repro.core.errors import (
     WorkerCrashError,
 )
 from repro.exec.cache import ResultCache
-from repro.exec.shm import (
-    DEFAULT_THRESHOLD_BYTES,
-    ShmArena,
-    ShmFunction,
-    payload_bytes,
-)
 from repro.obs.trace import profiled
 
 _MODES = ("process", "thread", "serial")
-_TRANSPORTS = ("auto", "pickle", "shm")
 
 
 #: ``prctl`` option and the signal it arms: the kernel sends a worker
@@ -257,16 +248,9 @@ class ParallelEvaluator:
     the function must pickle), ``"thread"`` for unpicklable callables,
     ``"serial"`` for the legacy in-order loop (still cache-aware).
 
-    ``transport`` picks how task payloads reach process workers:
-    ``"pickle"`` is the classic serialized copy, ``"shm"`` ships large
-    ndarrays as zero-copy shared-memory descriptors, and ``"auto"``
-    (default) switches to shm only when a task carries at least
-    ``shm_threshold_bytes`` of ndarray payload.  Results are
-    byte-identical either way; thread/serial modes always bypass.
-
     The evaluator owns its worker pool: created lazily, reused across
     maps, joined by :meth:`close`.  An evaluator that is pickled
-    travels without its pools, lock and arena.
+    travels without its pools and lock.
     """
 
     def __init__(
@@ -278,18 +262,9 @@ class ParallelEvaluator:
         cache: Optional[ResultCache] = None,
         crash_retries: int = 2,
         quarantine_after: int = 3,
-        transport: str = "auto",
-        shm_threshold_bytes: int = DEFAULT_THRESHOLD_BYTES,
-        arena: Optional[ShmArena] = None,
     ) -> None:
         if mode not in _MODES:
             raise ValidationError(f"mode must be one of {_MODES}")
-        if transport not in _TRANSPORTS:
-            raise ValidationError(
-                f"transport must be one of {_TRANSPORTS}"
-            )
-        if shm_threshold_bytes < 1:
-            raise ValidationError("shm_threshold_bytes must be >= 1")
         if max_workers is not None and max_workers < 1:
             raise ValidationError("max_workers must be >= 1")
         if chunksize < 1:
@@ -307,18 +282,14 @@ class ParallelEvaluator:
         self.cache = cache
         self.crash_retries = crash_retries
         self.quarantine_after = quarantine_after
-        self.transport = transport
-        self.shm_threshold_bytes = shm_threshold_bytes
-        self._arena = arena
         self.tasks_seen = 0
         self.tasks_cached = 0
         self.tasks_computed = 0
         self.worker_crashes = 0
         self.tasks_quarantined = 0
-        self.shm_maps = 0
+        # Always 0 (every task travels by pickle); kept because the
+        # perfbench census still reads it.
         self.shm_tasks = 0
-        self.shm_bytes = 0
-        self.last_transport: Optional[str] = None
         self._crash_counts: Dict[str, int] = {}
         self._quarantined: Dict[str, int] = {}
         self._init_pools()
@@ -340,7 +311,6 @@ class ParallelEvaluator:
         state = dict(self.__dict__)
         for name in ("_lock", "_executors", "_forked_at", "_finalizer"):
             del state[name]
-        state["_arena"] = None  # segments belong to this process
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -361,14 +331,6 @@ class ParallelEvaluator:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-    @property
-    def arena(self) -> ShmArena:
-        """The evaluator's shared-memory arena (created on first use, so
-        pickle-only evaluators never touch ``/dev/shm``)."""
-        if self._arena is None:
-            self._arena = ShmArena()
-        return self._arena
 
     # ------------------------------------------------------------- mapping
 
@@ -415,29 +377,18 @@ class ParallelEvaluator:
             subkeys = [
                 keys[i] if keys is not None else None for i in pending
             ]
-            exec_fn: Callable[[Any], Any] = fn
-            exec_tasks = [tasks[i] for i in pending]
-            leases: List[str] = []
-            exec_fn, exec_tasks, leases = self._apply_transport(
-                exec_fn, exec_tasks
-            )
-            try:
-                if wire is not None:
-                    payloads = [
-                        (exec_fn, task, i, wire)
-                        for task, i in zip(exec_tasks, pending)
-                    ]
-                    computed = [
-                        self._absorb_envelope(env)
-                        for env in self._compute(
-                            _traced_call, payloads, subkeys
-                        )
-                    ]
-                else:
-                    computed = self._compute(exec_fn, exec_tasks, subkeys)
-            finally:
-                if leases:
-                    self.arena.release_all(leases)
+            if wire is not None:
+                payloads = [(fn, tasks[i], i, wire) for i in pending]
+                computed = [
+                    self._absorb_envelope(env)
+                    for env in self._compute(
+                        _traced_call, payloads, subkeys
+                    )
+                ]
+            else:
+                computed = self._compute(
+                    fn, [tasks[i] for i in pending], subkeys
+                )
             self.tasks_computed += len(computed)
             for slot, value in zip(pending, computed):
                 results[slot] = value
@@ -448,52 +399,6 @@ class ParallelEvaluator:
                     for follower in followers.get(key, ()):
                         results[follower] = value
         return results
-
-    # ------------------------------------------------------- shm transport
-
-    def _apply_transport(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: List[Any],
-    ) -> Tuple[Callable[[Any], Any], List[Any], List[str]]:
-        """Swap large ndarray payloads for shared-memory descriptors
-        when the configured transport calls for it.
-
-        Returns ``(fn, tasks, leases)``; *leases* must be released after
-        the map settles (crash recovery included -- the parent owns the
-        segments, so a SIGKILLed worker cannot orphan them).  The
-        ``thread``/``serial`` backends bypass the transport entirely:
-        they share the parent's address space, so pickling -- and
-        therefore shared memory -- never happens on their path.
-        """
-        self.last_transport = "pickle"
-        if self.transport == "pickle" or self.mode != "process" \
-                or self.max_workers <= 1:
-            return fn, tasks, []
-        threshold = self.shm_threshold_bytes
-        if self.transport == "auto" and not any(
-            payload_bytes(task, threshold) >= threshold for task in tasks
-        ):
-            return fn, tasks, []
-        leases: List[str] = []
-        encoded: List[Any] = []
-        moved_bytes = 0
-        shipped = 0
-        for task in tasks:
-            before = len(leases)
-            encoded_task, task_leases = self.arena.encode(task, threshold)
-            leases.extend(task_leases)
-            encoded.append(encoded_task)
-            if len(leases) > before:
-                shipped += 1
-                moved_bytes += payload_bytes(task, threshold)
-        if not leases:
-            return fn, tasks, []
-        self.last_transport = "shm"
-        self.shm_maps += 1
-        self.shm_tasks += shipped
-        self.shm_bytes += moved_bytes
-        return ShmFunction(fn), encoded, leases
 
     # ------------------------------------------------------- crash recovery
 
@@ -781,28 +686,20 @@ class ParallelEvaluator:
             "tasks_computed": self.tasks_computed,
             "worker_crashes": self.worker_crashes,
             "tasks_quarantined": self.tasks_quarantined,
-            "transport": self.transport,
-            "last_transport": self.last_transport,
-            "shm_maps": self.shm_maps,
             "shm_tasks": self.shm_tasks,
-            "shm_bytes": self.shm_bytes,
         }
-        if self._arena is not None:
-            info["arena"] = self._arena.stats()
         if self.cache is not None:
             info["cache"] = self.cache.stats()
         return info
 
     def gauges(self) -> Dict[str, float]:
         """Flat numeric counters for flight-recorder sampling (cheap:
-        plain attribute reads, no pool or arena traffic)."""
+        plain attribute reads, no pool traffic)."""
         return {
             "tasks_seen": float(self.tasks_seen),
             "tasks_computed": float(self.tasks_computed),
             "worker_crashes": float(self.worker_crashes),
             "tasks_quarantined": float(self.tasks_quarantined),
-            "shm_tasks": float(self.shm_tasks),
-            "shm_bytes": float(self.shm_bytes),
         }
 
 

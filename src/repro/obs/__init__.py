@@ -10,7 +10,7 @@ boolean check on every hot path):
   :func:`profiled` kernel decorator opens its spans;
 - :mod:`repro.obs.metrics` -- process-wide Counter/Gauge/Histogram
   registry with mergeable fixed-bucket histograms (serve counters,
-  cache/shm/jit timings) behind one ``snapshot()``, with Prometheus
+  cache/jit timings) behind one ``snapshot()``, with Prometheus
   text exposition;
 - :mod:`repro.obs.ledger` -- append-only event log keyed by trace id
   (run/fault/retry/cache/admission/checkpoint events), with watcher

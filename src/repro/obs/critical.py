@@ -12,9 +12,9 @@ top``) and the regression-attribution comparison:
   -- co-batching overhead (waiting for batch-mates, merge bookkeeping);
 - ``eval``: ``worker`` spans -- the actual evaluation, including its
   bridged kernel sub-spans;
-- ``transport``: ``transport.*`` / ``shm.*`` spans -- wire and
-  shared-memory traffic (ephemeral spans, so they appear in raw
-  exports and here, never in canonical identity);
+- ``transport``: ``transport.*`` spans -- wire traffic (ephemeral
+  spans, so they appear in raw exports and here, never in canonical
+  identity);
 - ``cache``: ``cache.*`` spans;
 - ``route_merge``: ``cluster.request`` time not covered by the shard's
   ``request`` span -- router dispatch, response pump, replay overhead;
@@ -56,7 +56,7 @@ def _phase_of(name: str) -> Optional[str]:
         return "eval"
     if name.startswith("cache."):
         return "cache"
-    if name.startswith("transport.") or name.startswith("shm."):
+    if name.startswith("transport."):
         return "transport"
     return None
 

@@ -3,7 +3,7 @@
 One process-wide store for every number that is not a trace span:
 serve request/batch counters, circuit-breaker transitions, and the
 timings measured before their label is known (``cache.get.hit`` /
-``cache.get.miss`` / ``cache.put``, ``shm.*``, ``jit.compile/<label>``)
+``cache.get.miss`` / ``cache.put``, ``jit.compile/<label>``)
 plus counters such as ``jit.fallback``.  Kernel timings are spans (see
 :func:`repro.obs.trace.profiled`); ``repro profile`` renders both
 stores.  :class:`repro.serve.ServiceMetrics` keeps its own exact

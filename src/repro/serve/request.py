@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Union
 
@@ -47,6 +48,16 @@ class EvalRequest:
     def __post_init__(self) -> None:
         if not self.workload:
             raise ValidationError("request needs a workload name")
+        if not isinstance(self.config, Mapping):
+            raise ValidationError("request config must be a mapping")
+        if isinstance(self.seed, bool) or not isinstance(
+            self.seed, numbers.Integral
+        ):
+            raise ValidationError(
+                f"request seed must be an integer, got {self.seed!r}"
+            )
+        if self.impl is not None and not isinstance(self.impl, str):
+            raise ValidationError("request impl must be a string or null")
         if isinstance(self.priority, str):
             if self.priority not in PRIORITY_LANES:
                 raise ValidationError(
@@ -83,6 +94,8 @@ class EvalRequest:
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "EvalRequest":
+        if not isinstance(payload, Mapping):
+            raise ValidationError("a request must be a JSON object")
         known = {
             "workload", "config", "seed", "impl", "priority", "timeout_s"
         }
@@ -97,7 +110,10 @@ class EvalRequest:
 def load_requests(text: str) -> List[EvalRequest]:
     """Parse a JSON array of request objects (the ``repro serve
     --requests`` file format)."""
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"request file is not JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise ValidationError("request file must hold a JSON array")
     return [EvalRequest.from_json(item) for item in payload]

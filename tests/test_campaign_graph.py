@@ -197,6 +197,25 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="cannot be serialized"):
             Gate(check=lambda v: None).to_json()
 
+    @pytest.mark.parametrize(
+        "node,match",
+        [
+            ({"name": "a", "workload": "hls", "seed": "s"},
+             "node 1: bad 'seed'"),
+            ({"workload": "hls"}, "node 1: missing 'name'"),
+            ({"name": "a"}, "node 1: missing 'workload'"),
+            ({"name": "a", "workload": "hls", "config": [1, 2]},
+             "node 1: bad 'config'"),
+            ({"kind": "reduce", "name": "r"}, "node 1: missing 'op'"),
+            ({"kind": "mystery", "name": "m"}, "node 1: unknown kind"),
+            ("not-a-node", "node 1: must be a JSON object"),
+        ],
+    )
+    def test_bad_spec_nodes_raise_validation_errors(self, node, match):
+        spec = {"nodes": [{"name": "ok", "workload": "hls"}, node]}
+        with pytest.raises(ValidationError, match=match):
+            CampaignGraph.from_json(spec)
+
 
 # ---------------------------------------------------- gates / backtracking
 

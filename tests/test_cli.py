@@ -47,6 +47,16 @@ class TestCli:
         assert from_csv(out) == load_dataset()
 
 
+class TestExecCli:
+    def test_exec_reports_identical_results(self, capsys):
+        assert main(["exec", "--workers", "2", "--cells", "4",
+                     "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "results identical across serial/parallel/cached passes" \
+            in out
+        assert "parallel (warm)" in out
+
+
 class TestServeCli:
     def test_synthetic_load_mode(self, capsys):
         assert main([

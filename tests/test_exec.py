@@ -77,6 +77,11 @@ def _crash_off_main(task):
     return value * 3
 
 
+def _sum_payload(task):
+    """Module-level map target: reduce the task's array (picklable)."""
+    return float(task["payload"].sum())
+
+
 def _worker_pid(_task):
     """The pid of the process that ran the task (a short nap lets every
     worker of a small pool pick up a task)."""
@@ -412,6 +417,18 @@ class TestParallelEvaluator:
         assert stats["cache"]["stores"] == 3
 
 
+    def test_large_array_tasks_match_serial(self):
+        # Four tasks share one 2 MB float64 array; each reaches its
+        # process worker by pickle and comes back bit-identical.
+        payload = np.random.default_rng(7).standard_normal(1 << 18)
+        tasks = [{"payload": payload, "cell": i} for i in range(4)]
+        with ParallelEvaluator(max_workers=2, mode="process") as engine:
+            got = engine.map(_sum_payload, tasks)
+        assert got == [_sum_payload(task) for task in tasks]
+        assert engine.shm_tasks == 0
+        assert engine.stats()["shm_tasks"] == 0
+
+
 class TestWorkerCrashRecovery:
     """A dead worker process must cost at most the affected tasks."""
 
@@ -666,3 +683,27 @@ class TestMakeEvaluator:
         built = coerce_cache(tmp_path / "c.json")
         assert isinstance(built, ResultCache)
         assert built.path == tmp_path / "c.json"
+
+
+class TestResultCacheNdarrayMemo:
+    def test_repeated_array_payload_hits_identity_memo(self):
+        cache = ResultCache()
+        payload = np.arange(1 << 12, dtype=np.float64)
+        first = cache.digest(payload)
+        second = cache.digest(payload)
+        assert first == second
+        assert cache.stats()["ndarray_memo_hits"] >= 1
+        assert cache.stats()["digest_time_saved_s"] >= 0.0
+
+    def test_equal_content_fresh_object_redigests_consistently(self):
+        cache = ResultCache()
+        a = np.arange(64, dtype=np.float64)
+        b = a.copy()  # different id: memo miss, same canonical digest
+        assert cache.digest(a) == cache.digest(b)
+        assert cache.stats()["ndarray_memo_hits"] == 0
+
+    def test_different_arrays_digest_differently(self):
+        cache = ResultCache()
+        a = np.arange(64, dtype=np.float64)
+        b = np.arange(1, 65, dtype=np.float64)
+        assert cache.digest(a) != cache.digest(b)

@@ -492,6 +492,35 @@ class TestRequestShape:
         with pytest.raises(ValidationError, match="array"):
             load_requests(json.dumps({"workload": "hls"}))
 
+    @pytest.mark.parametrize("seed", [True, "x", 1.5, None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            EvalRequest(workload="hls", seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            EvalRequest.from_json({"workload": "hls", "seed": seed})
+
+    def test_numpy_integer_seed_accepted(self):
+        import numpy as np
+
+        request = EvalRequest(workload="hls", seed=np.int64(3))
+        assert request.digest == EvalRequest(workload="hls", seed=3).digest
+
+    def test_non_mapping_config_rejected(self):
+        with pytest.raises(ValidationError, match="config"):
+            EvalRequest(workload="hls", config=[1, 2])
+
+    def test_non_string_impl_rejected(self):
+        with pytest.raises(ValidationError, match="impl"):
+            EvalRequest(workload="hls", impl=3)
+
+    def test_load_requests_rejects_non_json(self):
+        with pytest.raises(ValidationError, match="not JSON"):
+            load_requests("[{'workload': 'hls'}]")
+
+    def test_load_requests_rejects_non_object_entry(self):
+        with pytest.raises(ValidationError, match="JSON object"):
+            load_requests("[5]")
+
     def test_digest_matches_request_identity(self):
         a = EvalRequest(workload="hls", config={"size": 8}, seed=1)
         b = EvalRequest(workload="hls", config={"size": 8}, seed=1,
