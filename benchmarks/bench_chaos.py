@@ -20,6 +20,9 @@ Acceptance targets (asserted with ``--check``, reported always):
 - kill-one-shard-mid-campaign on a 4-shard cluster: zero lost, zero
   duplicated, >= 1 supervised restart, results byte-identical to the
   serial baseline, and the run ledger records the failure/replay story;
+- the same kill on a 2-shard ``backend="process"`` cluster, where the
+  kill is a SIGKILL of a real worker process: zero lost, zero
+  duplicated, >= 1 supervised restart, byte-identical results;
 - delay and burst schedules: exactly-once with results unperturbed;
 - chaos p99 latency bounded by ``10x baseline p99 + 1 s``;
 - a persistently failing workload trips its circuit breaker open and
@@ -40,6 +43,7 @@ WORKLOAD = "imc-crossbar"
 FULL_REQUESTS = 48
 QUICK_REQUESTS = 24
 NUM_SHARDS = 4
+PROCESS_SHARDS = 2
 POOL_SIZE = 6
 ZIPF_SKEW = 2.0
 SEED = 7
@@ -122,16 +126,20 @@ def run_baseline(requests, baseline):
     return _scenario_entry("baseline", requests, baseline, report, results)
 
 
-def run_kill_scenario(requests, baseline):
+def run_kill_scenario(
+    requests, baseline, *, backend="inproc", num_shards=NUM_SHARDS
+):
     """The flagship scenario: kill the shard owning the middle of the
     stream while its queue holds work; the supervisor must detect,
     restart and replay with exactly-once delivery.
 
     The run ledger is enabled so recovery goes through the
     ledger-replay path and the event stream can be audited afterwards.
+    On ``backend="process"`` the kill is a SIGKILL of the shard's
+    worker process.
     """
     at_request = len(requests) // 2
-    router = ShardRouter(NUM_SHARDS)
+    router = ShardRouter(num_shards)
     victim = router.route(requests[at_request - 1].digest)
     policy = ChaosPolicy.kill_shard(at_request=at_request, shard=victim)
 
@@ -139,7 +147,9 @@ def run_kill_scenario(requests, baseline):
     ledger.reset()
     ledger.enable()
     try:
-        results, report = _campaign(requests, policy)
+        results, report = _campaign(
+            requests, policy, backend=backend, num_shards=num_shards
+        )
         events = {record["event"] for record in ledger.events()}
         replay_events = sum(
             1
@@ -149,7 +159,8 @@ def run_kill_scenario(requests, baseline):
     finally:
         ledger.disable()
         ledger.reset()
-    entry = _scenario_entry("kill_shard", requests, baseline, report, results)
+    name = "kill_shard" if backend == "inproc" else f"kill_shard_{backend}"
+    entry = _scenario_entry(name, requests, baseline, report, results)
     entry["victim_shard"] = victim
     entry["ledger"] = {
         "has_shard_down": "shard.down" in events,
@@ -240,6 +251,10 @@ def run_chaos_study(num_requests):
         run_kill_scenario(requests, baseline),
         run_delay_scenario(requests, baseline),
         run_burst_scenario(requests, baseline),
+        run_kill_scenario(
+            requests, baseline,
+            backend="process", num_shards=PROCESS_SHARDS,
+        ),
     ]
     return {
         "workload": WORKLOAD,
@@ -280,16 +295,17 @@ def check(report):
                 f"FAIL: {name}: only {entry['matched']}/"
                 f"{entry['num_requests']} results match the serial run"
             )
-    kill = by_name["kill_shard"]
-    if kill["restarts"] >= 1:
-        messages.append(
-            f"ok: kill_shard: {kill['restarts']} supervised restart(s), "
-            f"{kill['replayed']} request(s) replayed"
-        )
-    else:
-        ok = False
-        messages.append("FAIL: kill_shard: supervisor never restarted")
-    ledger_story = kill["ledger"]
+    for name in ("kill_shard", "kill_shard_process"):
+        kill = by_name[name]
+        if kill["restarts"] >= 1:
+            messages.append(
+                f"ok: {name}: {kill['restarts']} supervised restart(s), "
+                f"{kill['replayed']} request(s) replayed"
+            )
+        else:
+            ok = False
+            messages.append(f"FAIL: {name}: supervisor never restarted")
+    ledger_story = by_name["kill_shard"]["ledger"]
     if (
         ledger_story["has_shard_down"]
         and ledger_story["has_shard_restarted"]

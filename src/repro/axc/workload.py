@@ -10,7 +10,12 @@ from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.core.api import RunResult, build_run_result, register_workload
+from repro.core.api import (
+    RunResult,
+    build_run_result,
+    register_workload,
+    require_keys,
+)
 from repro.core.errors import ValidationError
 
 
@@ -43,7 +48,9 @@ class HTConvWorkload:
             raise ValidationError(
                 f"axc-htconv supports impl=None|'scalar'|'numpy', got {impl!r}"
             )
-        cfg = dict(config)
+        cfg = require_keys(
+            self.name, config, ("channels", "height", "width")
+        )
         c = int(cfg["channels"])
         h = int(cfg["height"])
         w = int(cfg["width"])

@@ -52,6 +52,7 @@ from typing import (
     Mapping,
     Optional,
     Protocol,
+    Tuple,
     runtime_checkable,
 )
 
@@ -111,13 +112,23 @@ class RunResult:
     def to_json(self) -> Dict[str, Any]:
         """Lossless JSON-serializable form (round-trips via
         :meth:`from_json`); also the value stored in
-        :class:`~repro.exec.ResultCache` by :mod:`repro.serve`."""
-        return dataclasses.asdict(self)
+        :class:`~repro.exec.ResultCache` by :mod:`repro.serve`.
+
+        Equal to ``dataclasses.asdict(self)``, keys in field order.
+        Metrics of plain JSON scalars -- every built-in workload's --
+        are immutable, so a shallow ``dict()`` copy suffices; any
+        other value takes the deep-copying ``asdict`` path.
+        """
+        metrics = self.metrics
+        if not all(type(v) in PLAIN_SCALARS for v in metrics.values()):
+            return dataclasses.asdict(self)
+        out = {name: getattr(self, name) for name in _FIELD_NAMES}
+        out["metrics"] = dict(metrics)
+        return out
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "RunResult":
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - names
+        unknown = set(payload).difference(_FIELD_NAMES)
         if unknown:
             raise ValidationError(
                 f"unknown RunResult fields: {sorted(unknown)}"
@@ -146,6 +157,15 @@ class RunResult:
         """True when *other* is the same evaluation outcome (identity
         compares canonical forms, ignoring volatile fields)."""
         return self.canonical_json() == other.canonical_json()
+
+
+#: :class:`RunResult` field names in declaration order (the key order
+#: of :meth:`RunResult.to_json`).
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(RunResult))
+
+#: JSON scalar types a deep copy may share instead of copying:
+#: immutable, and matched by exact type (a subclass may be neither).
+PLAIN_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def build_run_result(
@@ -228,6 +248,25 @@ class Workload(Protocol):
     ) -> RunResult:
         """Run one configuration to a :class:`RunResult`."""
         ...
+
+
+def require_keys(
+    workload: str, config: Mapping[str, Any], keys: Tuple[str, ...]
+) -> Dict[str, Any]:
+    """*config* as a plain dict, once it holds every one of *keys*.
+
+    Adapters call this for the parameters they have no default for, so
+    a config missing one fails as a :class:`ValidationError` naming the
+    workload and the key instead of a bare ``KeyError``.
+    """
+    cfg = dict(config)
+    missing = [key for key in keys if key not in cfg]
+    if missing:
+        raise ValidationError(
+            f"{workload} config is missing required key(s): "
+            + ", ".join(repr(key) for key in missing)
+        )
+    return cfg
 
 
 def example_config(workload: Workload) -> Dict[str, Any]:
@@ -326,5 +365,6 @@ __all__ = [
     "register_workload",
     "registry_generation",
     "request_digest",
+    "require_keys",
     "workload_names",
 ]

@@ -10,7 +10,7 @@ from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.core.api import RunResult, register_workload
+from repro.core.api import RunResult, register_workload, require_keys
 from repro.core.errors import ValidationError
 
 
@@ -44,7 +44,7 @@ class DNAPipelineWorkload:
                 f"dna-pipeline supports impl=None|'scalar'|'numpy'|'jit', "
                 f"got {impl!r}"
             )
-        cfg = dict(config)
+        cfg = require_keys(self.name, config, ("payload_bytes",))
         payload_bytes = int(cfg["payload_bytes"])
         indel = float(cfg.get("indel_rate", 0.005))
         params = ChannelParams(

@@ -38,6 +38,7 @@ from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.api import PLAIN_SCALARS
 from repro.core.errors import ValidationError
 from repro.obs.metrics import get_metrics
 
@@ -192,6 +193,24 @@ class _DigestMemo:
         return len(self._entries)
 
 
+def _copy_record(value: Any) -> Any:
+    """A deep copy of *value* for :meth:`ResultCache.get`.
+
+    Cache records are JSON trees, which a walk over exact ``dict`` /
+    ``list`` nodes copies several times faster than ``copy.deepcopy``
+    and its memo; any other value (a tuple holding an ndarray, say) is
+    handed to ``copy.deepcopy``.
+    """
+    kind = type(value)
+    if kind in PLAIN_SCALARS:
+        return value
+    if kind is dict:
+        return {key: _copy_record(item) for key, item in value.items()}
+    if kind is list:
+        return [_copy_record(item) for item in value]
+    return copy.deepcopy(value)
+
+
 class ResultCache:
     """Content-addressed evaluation results with LRU bounds and stats.
 
@@ -274,9 +293,10 @@ class ResultCache:
         """The cached value for *key*, or ``None`` on a miss.
 
         Hits refresh the entry's LRU position.  Values are deep-copied
-        on the way out so callers cannot mutate the store.  When the
-        metrics registry is enabled, lookups are timed into the
-        ``cache.get.hit`` / ``cache.get.miss`` histograms.
+        on the way out (see :func:`_copy_record`) so callers cannot
+        mutate the store.  When the metrics registry is enabled,
+        lookups are timed into the ``cache.get.hit`` /
+        ``cache.get.miss`` histograms.
         """
         registry = get_metrics()
         if not registry.enabled:
@@ -299,7 +319,7 @@ class ResultCache:
             value = self._records[key]
         # Stored values are replaced, never mutated, so the copy needs
         # no lock.
-        return copy.deepcopy(value)
+        return _copy_record(value)
 
     def peek(self, key: str) -> Optional[Any]:
         """The stored value for *key* (or ``None``) without counting a

@@ -877,6 +877,7 @@ def run_chaos_campaign(
     breaker_threshold: int = 32,
     result_timeout_s: float = 60.0,
     recorder: Optional[Any] = None,
+    backend: str = "inproc",
 ) -> Tuple[List[RunResult], Dict[str, Any]]:
     """Serve *requests* through a shard cluster under a chaos schedule.
 
@@ -886,6 +887,10 @@ def run_chaos_campaign(
     ``burst`` duplicate copies).  Returns the results in request order
     plus a report the bench's ``--check`` gate asserts on: zero lost,
     zero duplicated, latency summary, restart/replay counts.
+
+    *backend* picks the shard hosting (see :class:`ShardCluster`); on
+    ``"process"`` a chaos ``kill`` SIGKILLs a real worker process, and
+    the campaign starts once every worker reported ready.
 
     A :class:`~repro.obs.recorder.FlightRecorder` passed as *recorder*
     is attached to the cluster's gauges, armed to dump on the chaos
@@ -903,6 +908,7 @@ def run_chaos_campaign(
         heartbeat_s=heartbeat_s,
         stall_timeout_s=stall_timeout_s,
         breaker_threshold=breaker_threshold,
+        backend=backend,
     )
     if recorder is not None:
         recorder.attach_cluster(cluster)
@@ -920,6 +926,7 @@ def run_chaos_campaign(
     extra_futures: List["Future[RunResult]"] = []
     kills: List[Dict[str, Any]] = []
     try:
+        cluster.wait_ready()
         started_at = time.perf_counter()
         for index, request in enumerate(requests):
             for event in policy.actions_at(index):

@@ -5,14 +5,18 @@ The in-process shards of :class:`~repro.serve.cluster.ShardCluster`
 prove the fault-tolerance contract but share one GIL, so N shards never
 buy N cores.  :class:`ProcessShard` hosts each shard's service in its
 own worker process (``multiprocessing`` spawn context: no inherited
-locks from the threaded parent), fed over a command queue and answering
-on a response queue:
+locks from the threaded parent), talking to it over one duplex pipe
+(a ``multiprocessing`` ``Connection``).  Each side sends from the
+calling thread under its own send lock and reads with
+``poll(heartbeat_s)`` then ``recv()``:
 
 - the parent keeps the shard-local future table, so the cluster's
   set-once exactly-once futures work unchanged across the process
   boundary;
 - every request crosses in one form, the ``EvalRequest`` wire dict
-  pickled by the queue (ndarray configs included);
+  pickled by the pipe (ndarray configs included).  The parent-side
+  admission bound caps how many requests -- and so how many bytes a
+  blocked send can have waiting -- are in flight;
 - the child streams back ``done`` records (``RunResult`` wire form)
   and -- when the run ledger or tracing was enabled at spawn time --
   its ledger events and spans, flushed whenever it sits idle for
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as _queue
+import pickle
 import threading
 from concurrent.futures import Future
 from functools import partial
@@ -95,17 +99,29 @@ def validate_process_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
     return out
 
 
+def _dumps(message: Tuple) -> bytes:
+    """One pipe message as pickle bytes (``recv`` unpickles them).
+
+    Pickled before the send lock is taken, so pickling a large payload
+    does not hold up the other senders, and into plain bytes:
+    ``Connection.send`` sends a view of a ``BytesIO``, and when that
+    send fails the view in the traceback makes freeing the buffer an
+    ignored ``BufferError``.
+    """
+    return pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+
+
 def _shard_worker_main(
     shard_id: int,
     incarnation: int,
-    cmd_queue: Any,
-    out_queue: Any,
+    conn: Any,
     spec: Dict[str, Any],
     ledger_on: bool,
     tracing_on: bool,
     heartbeat_s: float,
 ) -> None:
-    """Worker-process entry point: host one shard's service.
+    """Worker-process entry point: host one shard's service, talking
+    to the parent over the duplex pipe end *conn*.
 
     Protocol (parent -> child): ``("submit", rid, request_json)`` --
     plus a trailing trace wire context when the parent runs under
@@ -115,7 +131,9 @@ def _shard_worker_main(
     ``("spans", records)``, ``("snapshot", token, snapshot)``,
     ``("stopped", snapshot)``.  Every child message
     is prefixed with ``(kind, shard_id, incarnation, ...)`` so the
-    parent can attribute it even in logs.
+    parent can attribute it even in logs.  The main loop and the
+    service's done-callbacks both send, under one lock.  The loop ends
+    on ``stop``, or when the parent's end of the pipe is gone.
     """
     from repro.core.api import ensure_default_workloads
     from repro.serve.service import EvaluationService
@@ -138,9 +156,15 @@ def _shard_worker_main(
     service.shard_index = shard_id
     events_sent = 0
     spans_sent = 0
+    send_lock = threading.Lock()
 
     def _send(kind: str, *payload: Any) -> None:
-        out_queue.put((kind, shard_id, incarnation) + payload)
+        data = _dumps((kind, shard_id, incarnation) + payload)
+        try:
+            with send_lock:
+                conn.send_bytes(data)
+        except OSError:
+            pass  # the parent is gone; the main loop sees EOF and exits
 
     def _flush_events() -> None:
         nonlocal events_sent
@@ -175,11 +199,15 @@ def _shard_worker_main(
     _send("ready", os.getpid())
     while True:
         try:
-            message = cmd_queue.get(timeout=heartbeat_s)
-        except _queue.Empty:
-            _flush_spans()
-            _flush_events()
-            continue
+            if not conn.poll(heartbeat_s):
+                _flush_spans()
+                _flush_events()
+                continue
+            message = conn.recv()
+        except (EOFError, OSError):
+            # The parent is gone: nobody is left to answer.
+            service.shutdown(drain=False)
+            break
         kind = message[0]
         if kind == "submit":
             rid, payload = message[1], message[2]
@@ -270,8 +298,8 @@ class ProcessShard:
         self._spec = validate_process_spec(spec)
         self.max_queue = int(self._spec["max_queue"])
         self._ctx = multiprocessing.get_context("spawn")
-        self._cmd: Any = self._ctx.Queue()
-        self._out: Any = self._ctx.Queue()
+        self._conn, child_conn = self._ctx.Pipe()
+        self._send_lock = threading.Lock()
         self._lock = threading.Lock()
         self._space = threading.Condition(self._lock)
         self._futures: Dict[int, "Future[RunResult]"] = {}
@@ -290,8 +318,7 @@ class ProcessShard:
             args=(
                 index,
                 incarnation,
-                self._cmd,
-                self._out,
+                child_conn,
                 self._spec,
                 get_ledger().enabled,
                 get_tracer().enabled,
@@ -301,6 +328,10 @@ class ProcessShard:
             daemon=True,
         )
         self._process.start()
+        # The child holds its own copy now; dropping ours lets the
+        # pump see EOF once the child (and any pool worker that
+        # inherited its end) is gone.
+        child_conn.close()
         self._pump_thread = threading.Thread(
             target=self._pump,
             name=f"repro-shard-{index}.{incarnation}-pump",
@@ -341,13 +372,16 @@ class ProcessShard:
         block: bool = False,
         trace_ctx: Optional[TraceContext] = None,
     ) -> "Future[RunResult]":
-        """Queue *request* into the worker; parent-side bounded
+        """Send *request* to the worker; parent-side bounded
         admission mirrors the child service's ``max_queue`` contract.
         A caller blocked on a full queue is released with
         ``reason="stopped"`` once the worker process is gone, however
-        it died.  *trace_ctx* rides the command queue as a trailing
-        wire element, so the child service stitches its spans under the
-        caller's (router's) span."""
+        it died.  The request is pickled onto the pipe from the calling
+        thread; a send that fails (the worker is gone) raises
+        ``reason="stopped"`` so the cluster reroutes.  *trace_ctx*
+        rides the submit message as a trailing wire element, so the
+        child service stitches its spans under the caller's (router's)
+        span."""
         if not self.alive:
             raise AdmissionRejected(
                 "shard process is not running", reason="stopped"
@@ -378,7 +412,7 @@ class ProcessShard:
             else None
         )
         try:
-            self._cmd.put(("submit", rid, request.to_json()) + (
+            self._send(("submit", rid, request.to_json()) + (
                 (wire,) if wire is not None else ()
             ))
         except Exception as exc:
@@ -390,25 +424,33 @@ class ProcessShard:
             )
         return future
 
+    def _send(self, message: Tuple) -> None:
+        data = _dumps(message)
+        with self._send_lock:
+            self._conn.send_bytes(data)
+
     # ------------------------------------------------------------ responses
 
     def _pump(self) -> None:
-        """Drain the response queue, resolving shard-local futures and
-        merging cross-process observability back into this process."""
+        """Drain the pipe, resolving shard-local futures and merging
+        cross-process observability back into this process.
+
+        EOF is not the only death signal: pool workers of a
+        ``parallel`` shard inherit the child's end of the pipe and
+        keep it open for a while after the child is gone, so an idle
+        poll also checks that the process still lives."""
         while True:
             try:
-                message = self._out.get(timeout=self.heartbeat_s)
-            except _queue.Empty:
-                if not self._process.is_alive() and (
-                    self._stopped or self._killed
-                ):
-                    break
-                if not self._process.is_alive() and self._ready.is_set():
-                    # Crashed (not via kill()): nothing more will come
-                    # once the pipe is drained; leave futures stranded
-                    # for the cluster to replay.
-                    break
-                continue
+                if not self._conn.poll(self.heartbeat_s):
+                    if not self._process.is_alive() and (
+                        self._stopped or self._killed or self._ready.is_set()
+                    ):
+                        # Nothing more will come; a crash (not via
+                        # kill()) leaves futures stranded for the
+                        # cluster to replay.
+                        break
+                    continue
+                message = self._conn.recv()
             except (EOFError, OSError):
                 break
             self._handle(message)
@@ -514,7 +556,7 @@ class ProcessShard:
         join_s = 10.0 if timeout is None else timeout
         if self._process.is_alive() and not self._killed:
             try:
-                self._cmd.put(("stop", bool(drain)))
+                self._send(("stop", bool(drain)))
             except Exception:
                 pass
             self._process.join(join_s)
@@ -534,12 +576,7 @@ class ProcessShard:
                         reason="cancelled",
                     )
                 )
-        for channel in (self._cmd, self._out):
-            try:
-                channel.close()
-                channel.cancel_join_thread()
-            except Exception:
-                pass
+        self._conn.close()
 
     # ------------------------------------------------------------ reporting
 
@@ -559,7 +596,7 @@ class ProcessShard:
                 slot: list = []
                 self._snapshot_waiters[token] = (event, slot)
             try:
-                self._cmd.put(("snapshot", token))
+                self._send(("snapshot", token))
             except Exception:
                 with self._lock:
                     self._snapshot_waiters.pop(token, None)

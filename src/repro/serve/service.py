@@ -593,21 +593,24 @@ class EvaluationService:
         computed = self._evaluator.tasks_computed - computed_before
         cache_hits = self._evaluator.tasks_cached - cached_before
 
-        retries = 0
         done_at = time.perf_counter()
         done_wall = time.time()
-        for pending, bspan, record in zip(batch, batch_spans, records):
-            result = self._resolve(
-                pending, record, bspan, batch_trace_ids, done_at, done_wall
-            )
-            retries += max(0, result.attempts - 1)
+        # Account the batch before resolving its futures: a caller
+        # holding its result must find the batch in a snapshot.
         self.metrics.record_batch(
             size=len(batch),
             computed=computed,
             cache_hits=cache_hits,
             deduped=max(0, len(batch) - computed - cache_hits),
-            retries=retries,
+            retries=sum(
+                max(0, read_record(record)[0].get("attempts", 1) - 1)
+                for record in records
+            ),
         )
+        for pending, bspan, record in zip(batch, batch_spans, records):
+            self._resolve(
+                pending, record, bspan, batch_trace_ids, done_at, done_wall
+            )
         self._release(len(batch))
 
     def _resolve(
@@ -620,7 +623,7 @@ class EvaluationService:
         done_wall: float,
         *,
         cache_hit: bool = False,
-    ) -> RunResult:
+    ) -> None:
         """Complete one request from its result *record*: bind the
         result to the request's trace, close its ledger story and its
         ``batch`` and root spans, record its metrics and resolve its
@@ -667,7 +670,6 @@ class EvaluationService:
             cache_hit=cache_hit,
         )
         pending.future.set_result(result)
-        return result
 
     # ------------------------------------------------------------ reporting
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Mapping, Optional
 
-from repro.core.api import RunResult, register_workload
+from repro.core.api import RunResult, register_workload, require_keys
 from repro.core.errors import ValidationError
 
 
@@ -42,7 +42,7 @@ class SpartaWorkload:
                 "sparta supports impl=None|'scalar'|'numpy'|'jit', "
                 f"got {impl!r}"
             )
-        cfg = dict(config)
+        cfg = require_keys(self.name, config, ("num_nodes",))
         start = time.perf_counter()
         graph = random_graph(
             int(cfg["num_nodes"]),

@@ -219,6 +219,28 @@ class TestResultCache:
         first["xs"].append(4)
         assert cache.get("k") == {"xs": [1, 2]}
 
+    def test_get_shares_no_nested_container(self):
+        cache = ResultCache()
+        cache.put("k", {"metrics": {"xs": [1, {"y": 2.5}]}, "n": None})
+        stored = cache.peek("k")
+        value = cache.get("k")
+        assert value == stored
+        assert value is not stored
+        assert value["metrics"] is not stored["metrics"]
+        assert value["metrics"]["xs"] is not stored["metrics"]["xs"]
+        assert value["metrics"]["xs"][1] is not stored["metrics"]["xs"][1]
+
+    def test_get_still_copies_non_json_values(self):
+        cache = ResultCache()
+        array = np.arange(4.0)
+        cache.put("k", {"pair": (array, "tag")})
+        value = cache.get("k")
+        assert value["pair"][1] == "tag"
+        np.testing.assert_array_equal(value["pair"][0], array)
+        assert value["pair"][0] is not cache.peek("k")["pair"][0]
+        value["pair"][0][0] = 99.0
+        assert cache.get("k")["pair"][0][0] == 0.0
+
     def test_disk_round_trip(self, tmp_path):
         path = tmp_path / "cache.json"
         with ResultCache(path=path) as cache:

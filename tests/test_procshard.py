@@ -26,7 +26,7 @@ from repro.core.errors import ValidationError
 from repro.obs.ledger import get_ledger
 from repro.serve import ShardCluster, ShardRouter, generate_requests
 from repro.serve.procshard import ProcessShard, validate_process_spec
-from repro.serve.request import EvalRequest
+from repro.serve.request import AdmissionRejected, EvalRequest
 
 WORKLOAD = "imc-crossbar"
 
@@ -259,7 +259,7 @@ class TestProcessShard:
              "default_timeout_s": None}
 
     def test_ndarray_config_served_over_pickle(self):
-        """A config holding a 1 MB ndarray crosses the command queue in
+        """A config holding a 1 MB ndarray crosses the shard pipe in
         the one request form and evaluates exactly as a direct call."""
         payload = np.arange(1 << 17, dtype=np.float64)  # 1 MiB
         config = {"num_nodes": 48, "num_lanes": 2, "payload": payload}
@@ -276,6 +276,115 @@ class TestProcessShard:
             shard.shutdown()
         assert result.status == "ok"
         assert result.canonical_json() == expected.canonical_json()
+
+    def test_eight_large_requests_in_flight_at_once(self):
+        """Eight 1 MiB-ndarray requests submitted concurrently fill a
+        ``max_queue=8`` shard: the request direction carries 8 MiB,
+        far beyond the pipe's kernel buffer, so senders block while
+        the child streams results back.  Every request completes,
+        equal to a direct evaluation."""
+        payload = np.arange(1 << 17, dtype=np.float64)  # 1 MiB
+        config = {"num_nodes": 48, "num_lanes": 2, "payload": payload}
+        seeds = range(8)
+        workload = get_workload("sparta")
+        expected = {
+            seed: workload.evaluate(config, seed=seed).canonical_json()
+            for seed in seeds
+        }
+        shard = ProcessShard(0, self._SPEC)
+        futures = {}
+        errors = []
+
+        def _submit(seed):
+            try:
+                futures[seed] = shard.submit_request(
+                    EvalRequest(workload="sparta", config=config, seed=seed),
+                    block=True,
+                )
+            except Exception as exc:  # surfaced by the asserts below
+                errors.append(exc)
+
+        try:
+            assert shard.wait_ready(90)
+            senders = [
+                threading.Thread(target=_submit, args=(seed,), daemon=True)
+                for seed in seeds
+            ]
+            for sender in senders:
+                sender.start()
+            for sender in senders:
+                sender.join(120)
+            assert not any(sender.is_alive() for sender in senders)
+            assert errors == []
+            results = {
+                seed: future.result(timeout=120)
+                for seed, future in futures.items()
+            }
+        finally:
+            shard.shutdown()
+        assert sorted(results) == list(seeds)
+        for seed, result in results.items():
+            assert result.status == "ok"
+            assert result.canonical_json() == expected[seed]
+
+    def test_submit_after_external_sigkill_is_stopped(self):
+        """After an external ``kill -9`` of the worker a submit fails
+        fast with ``reason="stopped"`` -- the cluster's reroute
+        signal -- whether the liveness check or the failed send on the
+        dead pipe notices first; it never hangs in ``send``."""
+        payload = np.arange(1 << 17, dtype=np.float64)  # 1 MiB
+        request = EvalRequest(
+            workload="sparta",
+            config={"num_nodes": 48, "payload": payload},
+        )
+        shard = ProcessShard(0, self._SPEC)
+        outcome = {}
+
+        def _submit():
+            try:
+                outcome["future"] = shard.submit_request(request, block=True)
+            except AdmissionRejected as exc:
+                outcome["rejected"] = exc
+
+        try:
+            assert shard.wait_ready(90)
+            os.kill(shard.pid, signal.SIGKILL)
+            caller = threading.Thread(target=_submit, daemon=True)
+            caller.start()
+            caller.join(5)
+            assert not caller.is_alive(), "submit hung on a dead shard"
+        finally:
+            shard.shutdown(drain=False)
+        assert "future" not in outcome
+        assert outcome["rejected"].reason == "stopped"
+
+    def test_snapshot_answers_while_requests_in_flight(self):
+        """A metrics snapshot is a live answer from the worker even
+        while it evaluates: it reports the submitted requests, which
+        the parent's fallback (the last snapshot sent) cannot."""
+        slow = {"payload_bytes": 128, "rs_n": 63, "rs_k": 47,
+                "mean_coverage": 16.0, "substitution_rate": 0.03,
+                "indel_rate": 0.01}
+        shard = ProcessShard(0, self._SPEC)
+        try:
+            assert shard.wait_ready(90)
+            futures = [
+                shard.submit_request(
+                    EvalRequest(
+                        workload="dna-pipeline", config=slow, seed=seed
+                    ),
+                    block=True,
+                )
+                for seed in (1, 2)
+            ]
+            snapshot = shard.snapshot(timeout_s=30)
+            in_flight = sum(not future.done() for future in futures)
+            for future in futures:
+                assert future.result(timeout=120).status == "ok"
+        finally:
+            shard.shutdown()
+        assert in_flight >= 1
+        assert snapshot["requests"]["submitted"] == 2
 
     def test_blocked_submit_released_when_worker_dies_on_its_own(self):
         """A caller blocked on a full shard queue must not wait forever

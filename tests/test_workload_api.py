@@ -10,6 +10,7 @@ register.
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -257,6 +258,84 @@ class TestRunResult:
         assert not result.ok
         assert result.error == "boom"
         assert result.error_type == "RuntimeError"
+
+
+class TestToJsonMatchesAsdict:
+    """``to_json`` skips ``dataclasses.asdict`` on plain-scalar metrics;
+    its output must stay exactly what ``asdict`` gives."""
+
+    @staticmethod
+    def _assert_same_as_asdict(result):
+        payload = result.to_json()
+        expected = dataclasses.asdict(result)
+        assert payload == expected
+        assert list(payload) == list(expected)
+        assert pickle.dumps(payload) == pickle.dumps(expected)
+
+    @_workload_params()
+    def test_every_workload_result(self, name):
+        workload = get_workload(name)
+        self._assert_same_as_asdict(
+            workload.evaluate(example_config(workload), seed=0)
+        )
+
+    def test_error_result(self):
+        self._assert_same_as_asdict(
+            build_run_result(
+                "demo", {}, config={}, seed=0, status="error",
+                error="boom", error_type="RuntimeError",
+            )
+        )
+
+    def test_container_metrics_are_copied(self):
+        result = RunResult(
+            workload="demo",
+            metrics={"front": [1.0, 2.0], "by_stage": {"a": 1}, "n": 3},
+            seed=None,
+            config_digest="abc123",
+            wall_time_s=0.5,
+        )
+        self._assert_same_as_asdict(result)
+        payload = result.to_json()
+        assert payload["metrics"] is not result.metrics
+        assert payload["metrics"]["front"] is not result.metrics["front"]
+        assert (
+            payload["metrics"]["by_stage"]
+            is not result.metrics["by_stage"]
+        )
+        payload["metrics"]["front"].append(3.0)
+        assert result.metrics["front"] == [1.0, 2.0]
+
+    def test_scalar_metrics_dict_is_a_copy(self):
+        result = build_run_result("demo", {"x": 1}, config={}, seed=0)
+        payload = result.to_json()
+        payload["metrics"]["x"] = 2
+        assert result.metrics == {"x": 1}
+
+
+class TestMissingRequiredKey:
+    """A config without a parameter the workload has no default for is
+    a :class:`ValidationError` naming the workload and the key, not a
+    bare ``KeyError``."""
+
+    @pytest.mark.parametrize(
+        "name,key",
+        [
+            ("axc-htconv", "channels"),
+            ("axc-htconv", "height"),
+            ("axc-htconv", "width"),
+            ("dna-pipeline", "payload_bytes"),
+            ("sparta", "num_nodes"),
+        ],
+    )
+    def test_missing_key_is_validation_error(self, name, key):
+        workload = get_workload(name)
+        config = example_config(workload)
+        del config[key]
+        with pytest.raises(ValidationError) as info:
+            workload.evaluate(config, seed=0)
+        assert name in str(info.value)
+        assert repr(key) in str(info.value)
 
 
 class TestRequestDigest:
