@@ -22,7 +22,9 @@ Acceptance targets (asserted with ``--check``, reported always):
   serial baseline, and the run ledger records the failure/replay story;
 - the same kill on a 2-shard ``backend="process"`` cluster, where the
   kill is a SIGKILL of a real worker process: zero lost, zero
-  duplicated, >= 1 supervised restart, byte-identical results;
+  duplicated, >= 1 supervised restart, byte-identical results.  The
+  row also reports ``restart_s``, the seconds from the SIGKILL to the
+  replacement worker's ready message (reported, not gated);
 - delay and burst schedules: exactly-once with results unperturbed;
 - chaos p99 latency bounded by ``10x baseline p99 + 1 s``;
 - a persistently failing workload trips its circuit breaker open and
@@ -162,6 +164,8 @@ def run_kill_scenario(
     name = "kill_shard" if backend == "inproc" else f"kill_shard_{backend}"
     entry = _scenario_entry(name, requests, baseline, report, results)
     entry["victim_shard"] = victim
+    if backend == "process":
+        entry["restart_s"] = report["kills"][0].get("restart_s")
     entry["ledger"] = {
         "has_shard_down": "shard.down" in events,
         "has_shard_restarted": "shard.restarted" in events,
@@ -364,6 +368,7 @@ def main(argv=None):
     )
     for entry in report["scenarios"]:
         latency = entry["latency_s"]
+        restart_s = entry.get("restart_s")
         print(
             f"  {entry['scenario']:>10}: lost {entry['lost']}, "
             f"dup {entry['duplicate_results']}, "
@@ -371,6 +376,8 @@ def main(argv=None):
             f"replayed {entry['replayed']}, "
             f"p99 {latency['p99'] * 1000:.1f} ms, "
             f"identical={entry['identical_to_serial']}"
+            + (f", restart {restart_s:.3f} s" if restart_s is not None
+               else "")
         )
     breaker = report["breaker"]
     print(

@@ -10,6 +10,7 @@ from repro.core.api import (
     RunResult,
     Workload,
     build_run_result,
+    check_workload,
     ensure_default_workloads,
     example_config,
     get_workload,
@@ -52,6 +53,7 @@ __all__ = [
     "RunResult",
     "Workload",
     "build_run_result",
+    "check_workload",
     "ensure_default_workloads",
     "example_config",
     "get_workload",

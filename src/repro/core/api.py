@@ -16,9 +16,10 @@ defines that contract once:
   lossless JSON round-tripping and a *canonical* form whose bytes are
   identical for identical evaluations (volatile fields excluded);
 - a process-wide **registry** (:func:`register_workload`,
-  :func:`get_workload`, :func:`workload_names`) through which
-  :mod:`repro.serve` and any future caller address all subsystems
-  uniformly by name.
+  :func:`get_workload`, :func:`check_workload`,
+  :func:`workload_names`) through which :mod:`repro.serve` and any
+  future caller address all subsystems uniformly by name; a built-in
+  subsystem's adapter is imported on its first use.
 
 The ``parallel=`` / ``cache=`` contract
 ---------------------------------------
@@ -43,6 +44,7 @@ order, so serial, parallel and cache-warmed runs are bit-identical.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 from dataclasses import dataclass
 from typing import (
@@ -278,80 +280,97 @@ def example_config(workload: Workload) -> Dict[str, Any]:
 # ---------------------------------------------------------------- registry
 
 _REGISTRY: Dict[str, Workload] = {}
-_DEFAULTS_LOADED = False
 _GENERATION = 0
 
-#: The seven built-in adapter modules; importing each registers its
-#: workload(s).  Kept as module paths so registration stays lazy and
-#: the core package never hard-imports the subsystems.
-_DEFAULT_ADAPTER_MODULES = (
-    "repro.hls.workload",
-    "repro.dse.workload",
-    "repro.imc.workload",
-    "repro.sparta.workload",
-    "repro.axc.workload",
-    "repro.dna.workload",
-    "repro.hetero.workload",
-)
+#: The seven built-in workloads, by name, and the adapter module whose
+#: import registers each.  A built-in is imported on its first
+#: :func:`get_workload`; until then its name is known without any
+#: import, so admission checks and :func:`workload_names` stay cheap
+#: and a process that only serves cached results imports no subsystem.
+_BUILTIN_WORKLOADS: Dict[str, str] = {
+    "hls": "repro.hls.workload",
+    "dse": "repro.dse.workload",
+    "imc-crossbar": "repro.imc.workload",
+    "sparta": "repro.sparta.workload",
+    "axc-htconv": "repro.axc.workload",
+    "dna-pipeline": "repro.dna.workload",
+    "hetero-cell": "repro.hetero.workload",
+}
 
 
 def register_workload(workload: Workload, *, replace: bool = False) -> None:
     """Add *workload* to the process-wide registry.
 
-    Names are unique; re-registering an existing name requires
-    ``replace=True`` so accidental collisions fail loudly.  A change
-    bumps :func:`registry_generation`.
+    Names are unique, built-in names included before their adapter
+    loads; re-registering a taken name requires ``replace=True`` so
+    accidental collisions fail loudly.  A change bumps
+    :func:`registry_generation`.
+
+    A built-in adapter registering itself as its module is imported is
+    the exception: it never bumps the generation (a forked worker
+    resolves a built-in by name on its own), and it yields to a
+    workload already registered under its name, so an earlier
+    ``replace=True`` override survives the adapter's later import.
     """
     global _GENERATION
     name = getattr(workload, "name", None)
     if not name or not isinstance(name, str):
         raise ValidationError("workloads must carry a non-empty string name")
-    if not replace and name in _REGISTRY and _REGISTRY[name] is not workload:
+    current = _REGISTRY.get(name)
+    if current is workload:
+        return
+    builtin = _BUILTIN_WORKLOADS.get(name)
+    if not replace and builtin == type(workload).__module__:
+        _REGISTRY.setdefault(name, workload)
+        return
+    if not replace and (current is not None or builtin is not None):
         raise ValidationError(f"workload {name!r} is already registered")
-    if _REGISTRY.get(name) is not workload:
-        _REGISTRY[name] = workload
-        _GENERATION += 1
+    _REGISTRY[name] = workload
+    _GENERATION += 1
 
 
 def registry_generation() -> int:
     """A counter bumped by every registry change.  Process pools fork
     their workers once; a pool forked at an older generation would not
-    know the newer workloads, so its owner replaces it."""
+    know the newer workloads, so its owner replaces it.  Loading a
+    built-in adapter is not a change: every process can load it by
+    name."""
     return _GENERATION
 
 
 def ensure_default_workloads() -> None:
-    """Import (and thereby register) the built-in subsystem adapters.
+    """Import (and thereby register) every built-in adapter at once.
 
-    Idempotent and lazy: worker processes call this before resolving a
-    workload by name, so registration survives pickling boundaries.
+    Idempotent.  Nothing in the serving path needs it: a built-in is
+    loaded by its first :func:`get_workload`.
     """
-    global _DEFAULTS_LOADED
-    if _DEFAULTS_LOADED:
-        return
-    import importlib
-
-    for module in _DEFAULT_ADAPTER_MODULES:
+    for module in _BUILTIN_WORKLOADS.values():
         importlib.import_module(module)
-    _DEFAULTS_LOADED = True
+
+
+def check_workload(name: str) -> None:
+    """Raise :class:`ValidationError` unless *name* is a registered or
+    built-in workload.  Imports nothing: admission calls this."""
+    if name not in _REGISTRY and name not in _BUILTIN_WORKLOADS:
+        raise ValidationError(
+            f"unknown workload {name!r} (registered: {workload_names()})"
+        )
 
 
 def get_workload(name: str) -> Workload:
-    """The registered workload called *name* (defaults auto-loaded)."""
-    ensure_default_workloads()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown workload {name!r} "
-            f"(registered: {sorted(_REGISTRY)})"
-        ) from None
+    """The workload called *name*, importing its adapter on first use
+    if it is a built-in."""
+    workload = _REGISTRY.get(name)
+    if workload is None:
+        check_workload(name)
+        importlib.import_module(_BUILTIN_WORKLOADS[name])
+        workload = _REGISTRY[name]
+    return workload
 
 
 def workload_names() -> List[str]:
-    """Sorted names of every registered workload."""
-    ensure_default_workloads()
-    return sorted(_REGISTRY)
+    """Sorted names of every registered or built-in workload."""
+    return sorted(_REGISTRY.keys() | _BUILTIN_WORKLOADS.keys())
 
 
 __all__ = [
@@ -359,6 +378,7 @@ __all__ = [
     "VOLATILE_FIELDS",
     "Workload",
     "build_run_result",
+    "check_workload",
     "ensure_default_workloads",
     "example_config",
     "get_workload",

@@ -93,18 +93,21 @@ def _arm_parent_death_signal() -> bool:
         return False
 
 
-def _exit_with_parent() -> None:
-    """Pool-worker initializer: exit once the pool's owner is gone.
+def _exit_with_parent(owner: int) -> None:
+    """Pool-worker initializer: exit once the pool's owner, process
+    *owner*, is gone.
 
-    The death signal also fires when the *thread* that forked the
-    worker exits while its process lives on, so the handler exits only
-    when the worker was re-parented.  Without ``prctl`` a daemon thread
-    polls ``os.getppid()`` instead.
+    The owner passes its pid in: a worker that reaches this initializer
+    only after its owner died has already been re-parented, so reading
+    ``os.getppid()`` here would take the new parent for the owner and
+    the worker would never exit.  The death signal also fires when the
+    *thread* that forked the worker exits while its process lives on,
+    so the handler exits only when the worker was re-parented.  Without
+    ``prctl`` a daemon thread polls ``os.getppid()`` instead.
     """
-    parent = os.getppid()
 
     def _check(*_: Any) -> None:
-        if os.getppid() != parent:
+        if os.getppid() != owner:
             os._exit(1)
 
     # Handler first: the signal's default action would kill the worker.
@@ -125,7 +128,7 @@ def _exit_with_parent() -> None:
 
 def _process_pool(max_workers: int) -> _futures.ProcessPoolExecutor:
     return _futures.ProcessPoolExecutor(
-        max_workers, initializer=_exit_with_parent
+        max_workers, initializer=_exit_with_parent, initargs=(os.getpid(),)
     )
 
 

@@ -30,11 +30,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.api import (
-    build_run_result,
-    ensure_default_workloads,
-    get_workload,
-)
+from repro.core.api import build_run_result, get_workload
 from repro.core.errors import TransientFault, WorkerCrashError
 from repro.obs.ledger import get_ledger
 from repro.obs.trace import TraceContext, enable_tracing
@@ -76,7 +72,6 @@ def _error_record(
 
 def _evaluate(task: Tuple) -> Dict[str, Any]:
     name, config, seed, impl, policy, timeout_s, capture, _ = task
-    ensure_default_workloads()
     start = time.perf_counter()
     try:
         workload = get_workload(name)

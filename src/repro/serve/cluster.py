@@ -51,7 +51,7 @@ from concurrent.futures import Future
 from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.api import RunResult, get_workload
+from repro.core.api import RunResult, check_workload
 from repro.core.errors import ValidationError
 from repro.exec.parallel import CacheLike, EvaluatorLike, coerce_cache
 from repro.obs.ledger import get_ledger
@@ -429,7 +429,7 @@ class ShardCluster:
         *trace_ctx* when a campaign layer supplies one); every dispatch
         attempt -- including chaos replays -- stitches the shard-side
         spans under that single span."""
-        get_workload(request.workload)
+        check_workload(request.workload)
         if self._stopped:
             raise AdmissionRejected(
                 "cluster is stopped", reason="stopped"
@@ -890,7 +890,9 @@ def run_chaos_campaign(
 
     *backend* picks the shard hosting (see :class:`ShardCluster`); on
     ``"process"`` a chaos ``kill`` SIGKILLs a real worker process, and
-    the campaign starts once every worker reported ready.
+    the campaign starts once every worker reported ready.  Each kill
+    of a process shard then also reports ``restart_s``: the seconds
+    from the SIGKILL to the replacement worker's ready message.
 
     A :class:`~repro.obs.recorder.FlightRecorder` passed as *recorder*
     is attached to the cluster's gauges, armed to dump on the chaos
@@ -925,6 +927,7 @@ def run_chaos_campaign(
     futures: List["Future[RunResult]"] = []
     extra_futures: List["Future[RunResult]"] = []
     kills: List[Dict[str, Any]] = []
+    killed_at: List[float] = []
     try:
         cluster.wait_ready()
         started_at = time.perf_counter()
@@ -936,6 +939,7 @@ def run_chaos_campaign(
                         {"at_request": index, "shard": shard_id}
                     )
                     cluster.kill_shard(shard_id)
+                    killed_at.append(time.monotonic())
                     if not supervise:
                         cluster.check_shards()
                 elif event.action == "delay":
@@ -973,6 +977,14 @@ def run_chaos_campaign(
             except Exception:
                 extra_lost += 1
         elapsed = time.perf_counter() - started_at
+        if killed_at:
+            cluster.wait_ready(result_timeout_s)
+        for kill, at in zip(kills, killed_at):
+            ready_at = getattr(
+                cluster._slots[kill["shard"]].service, "ready_at", None
+            )
+            if ready_at is not None and ready_at >= at:
+                kill["restart_s"] = ready_at - at
 
         ledger = get_ledger()
         duplicates = 0

@@ -51,6 +51,7 @@ import multiprocessing
 import os
 import pickle
 import threading
+import time
 from concurrent.futures import Future
 from functools import partial
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -135,7 +136,6 @@ def _shard_worker_main(
     service's done-callbacks both send, under one lock.  The loop ends
     on ``stop``, or when the parent's end of the pipe is gone.
     """
-    from repro.core.api import ensure_default_workloads
     from repro.serve.service import EvaluationService
 
     # The shard is started daemonic, so an owner exiting without a
@@ -151,7 +151,6 @@ def _shard_worker_main(
         from repro.obs.trace import enable_tracing
 
         tracer = enable_tracing()
-    ensure_default_workloads()
     service = EvaluationService(**spec)
     service.shard_index = shard_id
     events_sent = 0
@@ -313,6 +312,8 @@ class ProcessShard:
         self._snapshot_waiters: Dict[int, Tuple[threading.Event, list]] = {}
         self._snapshot_token = 0
         self.pid: Optional[int] = None
+        #: ``time.monotonic()`` when the worker reported ready.
+        self.ready_at: Optional[float] = None
         self._process = self._ctx.Process(
             target=_shard_worker_main,
             args=(
@@ -466,6 +467,7 @@ class ProcessShard:
         payload = message[3:]
         if kind == "ready":
             self.pid = payload[0]
+            self.ready_at = time.monotonic()
             self._ready.set()
         elif kind == "done":
             rid, record = payload

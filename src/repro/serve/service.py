@@ -29,7 +29,7 @@ import time
 from concurrent.futures import Future
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.api import RunResult, get_workload
+from repro.core.api import RunResult, check_workload
 from repro.core.errors import ValidationError
 from repro.exec import ParallelEvaluator, coerce_cache
 from repro.exec.parallel import CacheLike, EvaluatorLike, make_evaluator
@@ -189,7 +189,7 @@ class EvaluationService:
         request's trace under a caller-side parent span (the cluster
         router or a campaign layer) instead of opening a fresh root.
         """
-        get_workload(request.workload)  # unknown names fail fast
+        check_workload(request.workload)  # unknown names fail fast
         pending = _Pending(request, request.digest)
         with self._lock:
             self._check_admission()

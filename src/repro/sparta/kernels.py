@@ -14,12 +14,13 @@ motivate SPARTA's context switching.
 
 from __future__ import annotations
 
-from typing import List
-
-import networkx as nx
+from typing import TYPE_CHECKING, List
 
 from repro.core.rng import SeedLike, make_rng
 from repro.sparta.openmp import ParallelForRegion, Task, compute, load, store
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Word-address bases (kept clear of the default 1024-word scratchpad).
 VALUE_BASE = 1 << 16
@@ -30,7 +31,13 @@ MATRIX_BASE = 1 << 22
 def random_graph(
     num_nodes: int = 256, avg_degree: float = 8.0, seed: SeedLike = 0
 ) -> nx.Graph:
-    """Erdos-Renyi graph with the requested average degree."""
+    """Erdos-Renyi graph with the requested average degree.
+
+    ``networkx`` is imported here, not at module import: it is the
+    slowest import of the SPARTA stack, and only graph building uses it.
+    """
+    import networkx as nx
+
     if num_nodes < 2:
         raise ValueError("need at least two nodes")
     if avg_degree <= 0:

@@ -612,6 +612,27 @@ class TestPersistentPool:
         # Nothing of the map ran on the broken pool: no crash charged.
         assert engine.worker_crashes == 0
 
+    def test_worker_starting_after_its_owner_died_exits(self):
+        """A worker whose initializer runs only after the pool's owner
+        died has already been re-parented; it must exit all the same,
+        and a worker whose owner lives must keep running."""
+        import multiprocessing
+
+        from repro.exec.parallel import _exit_with_parent
+
+        ctx = multiprocessing.get_context("fork")
+        dead = ctx.Process(target=int)
+        dead.start()
+        dead.join(timeout=30)
+        orphan = ctx.Process(target=_exit_with_parent, args=(dead.pid,))
+        owned = ctx.Process(target=_exit_with_parent, args=(os.getpid(),))
+        for process in (orphan, owned):
+            process.start()
+            process.join(timeout=30)
+            assert not process.is_alive()
+        assert orphan.exitcode == 1
+        assert owned.exitcode == 0
+
     def test_pickled_evaluator_travels_without_its_pool(self):
         with ParallelEvaluator(max_workers=2, mode="process") as engine:
             engine.map(_square, range(4))
