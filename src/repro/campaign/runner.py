@@ -36,7 +36,7 @@ from repro.campaign.graph import (
     run_named_reduce,
 )
 from repro.core.api import RunResult, request_digest
-from repro.core.errors import ValidationError
+from repro.core.errors import ReproError, ValidationError
 from repro.exec.parallel import CacheLike, EvaluatorLike, make_evaluator
 from repro.exec.requests import evaluate_batch, read_record
 from repro.obs.trace import TraceSlots
@@ -445,7 +445,16 @@ class GraphRunner:
                 )
                 for node, config, seed, impl in calls
             ]
-            return [future.result() for future in futures]
+            results = [future.result() for future in futures]
+            for (node, *_), result in zip(calls, results):
+                # A service always captures failures; a node that
+                # asked not to aborts here, as on the engine path.
+                if not result.ok and not node.capture_errors:
+                    raise ReproError(
+                        f"node {node.name!r} failed: "
+                        f"{result.error_type}: {result.error}"
+                    )
+            return results
         tasks = []
         keys = []
         for node, config, seed, impl in calls:

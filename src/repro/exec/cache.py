@@ -34,7 +34,7 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Optional, Union
 
 import numpy as np
 
@@ -121,78 +121,6 @@ def config_digest(obj: Any) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
-def _is_memoizable(obj: Any) -> bool:
-    """Only frozen dataclass instances are digest-memoized by identity:
-    their fields cannot be rebound, so the digest computed once stays
-    valid for the object's lifetime."""
-    return (
-        dataclasses.is_dataclass(obj)
-        and not isinstance(obj, type)
-        and type(obj).__dataclass_params__.frozen
-    )
-
-
-def _memo_key(obj: Any) -> Optional[Tuple[Any, ...]]:
-    """Memo key for *obj*, or ``None`` when it must be digested afresh.
-
-    Frozen dataclasses key by identity (fields cannot be rebound).
-    ndarrays -- by far the most expensive objects to canonicalize (an
-    element-wise ``tolist()`` walk) -- key by ``(id, nbytes)``: the
-    entry's strong reference pins the id, and the convention is that
-    arrays handed to evaluation configs are not mutated in place
-    afterwards.
-    """
-    if isinstance(obj, np.ndarray):
-        return ("ndarray", id(obj), obj.nbytes)
-    if _is_memoizable(obj):
-        return ("frozen", id(obj))
-    return None
-
-
-class _DigestMemo:
-    """Keyed memo of the most recent *capacity* config digests.
-
-    Campaign loops re-digest the *same* config objects (sweep grids hold
-    one frozen spec per cell and pass it to several stages), so the
-    canonical-JSON walk is repeated work.  Entries hold a strong
-    reference to the object: an id cannot be recycled while its entry
-    lives, which is what makes identity keying (see :func:`_memo_key`)
-    sound.  Each entry also remembers how long the original digest took,
-    so hits can account the time they saved.
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        if capacity < 1:
-            raise ValidationError("digest memo capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: (
-            "OrderedDict[Tuple[Any, ...], Tuple[Any, str, float]]"
-        ) = OrderedDict()
-
-    def lookup(
-        self, key: Tuple[Any, ...]
-    ) -> Optional[Tuple[Any, str, float]]:
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def store(
-        self,
-        key: Tuple[Any, ...],
-        obj: Any,
-        digest: str,
-        elapsed_s: float,
-    ) -> None:
-        self._entries[key] = (obj, digest, elapsed_s)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 def _copy_record(value: Any) -> Any:
     """A deep copy of *value* for :meth:`ResultCache.get`.
 
@@ -230,7 +158,6 @@ class ResultCache:
         path: Optional[Union[str, Path]] = None,
         max_entries: Optional[int] = None,
         flush_every: int = 1,
-        digest_memo_size: int = 128,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValidationError("max_entries must be >= 1")
@@ -245,10 +172,6 @@ class ResultCache:
         self._evictions = 0
         self._stores = 0
         self._recovered = False
-        self._digest_memo = _DigestMemo(digest_memo_size)
-        self._memo_hits = 0
-        self._ndarray_memo_hits = 0
-        self._digest_time_saved_s = 0.0
         self.lock = threading.RLock()
         self._records: "OrderedDict[str, Any]" = self._load()
 
@@ -368,36 +291,6 @@ class ResultCache:
                     self.flush()
             return True
 
-    def digest(self, obj: Any) -> str:
-        """:func:`config_digest` of *obj*, memoized by object identity.
-
-        Frozen-dataclass configs and ndarray payloads seen among the
-        most recent ``digest_memo_size`` objects skip the canonical-JSON
-        walk entirely (ndarrays key by ``(id, nbytes)`` -- see
-        :func:`_memo_key` -- and are the big win: their walk is
-        element-wise); every other object (mutable, ad-hoc) is digested
-        afresh.  :meth:`stats` reports the hits -- ndarray hits also
-        separately -- and the digest time they saved.
-        """
-        key = _memo_key(obj)
-        if key is None:
-            return config_digest(obj)
-        with self.lock:
-            entry = self._digest_memo.lookup(key)
-            if entry is not None:
-                self._memo_hits += 1
-                if key[0] == "ndarray":
-                    self._ndarray_memo_hits += 1
-                self._digest_time_saved_s += entry[2]
-                return entry[1]
-        start = time.perf_counter()
-        digest = config_digest(obj)
-        with self.lock:
-            self._digest_memo.store(
-                key, obj, digest, time.perf_counter() - start
-            )
-        return digest
-
     def get_or_compute(self, key: str, fn: Callable[[], Any]) -> Any:
         """The cached value for *key*, computing and storing on a miss."""
         value = self.get(key)
@@ -420,9 +313,6 @@ class ResultCache:
                 "hit_rate": self._hits / lookups if lookups else 0.0,
                 "persistent": self.path is not None,
                 "recovered_from_corruption": self._recovered,
-                "digest_memo_hits": self._memo_hits,
-                "ndarray_memo_hits": self._ndarray_memo_hits,
-                "digest_time_saved_s": self._digest_time_saved_s,
             }
 
     def flush(self) -> None:

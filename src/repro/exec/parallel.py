@@ -65,6 +65,7 @@ from repro.core.errors import (
     WorkerCrashError,
 )
 from repro.exec.cache import ResultCache
+from repro.obs.envelope import absorb, capture, wire
 from repro.obs.trace import profiled
 
 _MODES = ("process", "thread", "serial")
@@ -170,49 +171,21 @@ def _crash_error(
     )
 
 
-def _traced_call(payload: tuple) -> dict:
-    """Evaluate one task under a propagated trace context (module-level:
+def _captured_call(payload: tuple) -> dict:
+    """Evaluate one task under :func:`repro.obs.capture` (module-level:
     picklable across the process-pool hop).
 
     The payload carries the original task index, which becomes the
-    ``exec.task`` span's explicit *order*: span ids derive from
-    ``(trace, parent, name, order)``, so a worker process with a fresh
-    tracer allocates exactly the ids a serial run would -- the property
-    the serial-vs-parallel byte-identity test pins.  Spans and ledger
-    events land in local buffers and ride back in the envelope.
+    ``exec.task`` span's explicit *order*, so a worker process with a
+    fresh tracer allocates exactly the span ids a serial run would --
+    the property the serial-vs-parallel byte-identity test pins.
     """
-    fn, task, index, wire = payload
-    from repro.obs.ledger import get_ledger
-    from repro.obs.trace import TraceContext, get_tracer
-
-    tracer = get_tracer()
-    tracer.enable()
-    ledger = get_ledger()
-    if wire.get("ledger"):
-        ledger.enable()
-    ctx = TraceContext.from_wire(wire)
-    spans: List[dict] = []
-    events: List[dict] = []
-    span = tracer.start_span(
-        "exec.task",
-        trace_id=ctx.trace_id,
-        parent_id=ctx.span_id,
-        order=index,
-        attributes={"index": index},
-    )
-    status = "ok"
-    try:
-        with tracer.activate(span.context, sink=spans), \
-                ledger.capture(events):
-            try:
-                value = fn(task)
-            except BaseException:
-                status = "error"
-                raise
-    finally:
-        tracer.end_span(span, status=status, sink=spans)
-    return {"__obs_task__": True, "value": value, "spans": spans,
-            "events": events}
+    fn, task, index, header = payload
+    with capture(
+        header, "exec.task", order=index, attributes={"index": index}
+    ) as captured:
+        value = fn(task)
+    return {"value": value, **captured.envelope()}
 
 
 def _terminate(pool: _futures.Executor) -> None:
@@ -376,18 +349,21 @@ class ParallelEvaluator:
             pending.append(idx)
 
         if pending:
-            wire = self._trace_wire()
+            # Any pillar on: every task runs under a capture, and its
+            # spans, events and (from a pool worker) metrics are
+            # absorbed here before the value is cached.
+            header = wire()
             subkeys = [
                 keys[i] if keys is not None else None for i in pending
             ]
-            if wire is not None:
-                payloads = [(fn, tasks[i], i, wire) for i in pending]
-                computed = [
-                    self._absorb_envelope(env)
-                    for env in self._compute(
-                        _traced_call, payloads, subkeys
-                    )
-                ]
+            if header is not None:
+                payloads = [(fn, tasks[i], i, header) for i in pending]
+                computed = []
+                for reply in self._compute(
+                    _captured_call, payloads, subkeys
+                ):
+                    absorb(reply)
+                    computed.append(reply["value"])
             else:
                 computed = self._compute(
                     fn, [tasks[i] for i in pending], subkeys
@@ -547,35 +523,6 @@ class ParallelEvaluator:
 
     # ------------------------------------------------------------ internals
 
-    def _trace_wire(self) -> Optional[dict]:
-        """The active trace context as an envelope header, or ``None``
-        when tracing is off / no context is active (the common case --
-        one boolean attribute check)."""
-        from repro.obs.ledger import get_ledger
-        from repro.obs.trace import get_tracer
-
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return None
-        ctx = tracer.current()
-        if ctx is None:
-            return None
-        wire = ctx.to_wire()
-        wire["ledger"] = get_ledger().enabled
-        return wire
-
-    def _absorb_envelope(self, envelope: dict) -> Any:
-        """Merge one :func:`_traced_call` envelope into the local
-        tracer/ledger and return the payload value."""
-        from repro.obs.ledger import get_ledger
-        from repro.obs.trace import get_tracer
-
-        get_tracer().merge_records(envelope["spans"])
-        events = envelope.get("events")
-        if events:
-            get_ledger().extend(events)
-        return envelope["value"]
-
     def _execute(self, fn: Callable[[Any], Any], tasks: List[Any]) -> List[Any]:
         if self.mode == "serial" or self.max_workers == 1 or len(tasks) == 1:
             return [fn(task) for task in tasks]
@@ -694,16 +641,6 @@ class ParallelEvaluator:
         if self.cache is not None:
             info["cache"] = self.cache.stats()
         return info
-
-    def gauges(self) -> Dict[str, float]:
-        """Flat numeric counters for flight-recorder sampling (cheap:
-        plain attribute reads, no pool traffic)."""
-        return {
-            "tasks_seen": float(self.tasks_seen),
-            "tasks_computed": float(self.tasks_computed),
-            "worker_crashes": float(self.worker_crashes),
-            "tasks_quarantined": float(self.tasks_quarantined),
-        }
 
 
 EvaluatorLike = Union[None, bool, int, ParallelEvaluator]

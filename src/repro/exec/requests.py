@@ -32,8 +32,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.api import build_run_result, get_workload
 from repro.core.errors import TransientFault, WorkerCrashError
+from repro.obs.envelope import capture
 from repro.obs.ledger import get_ledger
-from repro.obs.trace import TraceContext, enable_tracing
 from repro.resilience import Deadline, resilient_run
 
 
@@ -102,44 +102,30 @@ def evaluate_task(task: Tuple) -> Dict[str, Any]:
     ``RunResult.to_json()`` record.  With one, it is an envelope: the
     record plus every span and ledger event produced while evaluating,
     keyed by the originating trace id so the coordinator can tell a
-    fresh computation from a replayed cache hit.
+    fresh computation from a replayed cache hit.  Caches store it, so
+    it never carries metrics.
     """
-    wire = task[7]
-    if wire is None:
+    header = task[7]
+    if header is None:
         return _evaluate(task)
-
-    tracer = enable_tracing()  # idempotent
-    ledger = get_ledger()
-    if wire.get("ledger"):
-        ledger.enable()
-    ctx = TraceContext.from_wire(wire)
-    spans: List[Dict[str, Any]] = []
-    events: List[Dict[str, Any]] = []
-    span = tracer.start_span(
-        "worker",
-        trace_id=ctx.trace_id,
-        parent_id=ctx.span_id,
-        order=0,
-    )
-    with tracer.activate(span.context, sink=spans), \
-            ledger.capture(events):
+    trace_id = header["trace_id"]
+    with capture(header, "worker") as captured:
         record = _evaluate(task)
         if record.get("trace_id") is None:
-            record["trace_id"] = ctx.trace_id
-        status = "ok" if record.get("status") == "ok" else "error"
-        if status == "error":
-            ledger.event(
+            record["trace_id"] = trace_id
+        if record.get("status") != "ok":
+            captured.status = "error"
+            get_ledger().event(
                 "request.error",
-                trace_id=ctx.trace_id,
+                trace_id=trace_id,
                 error_type=record.get("error_type"),
             )
-    tracer.end_span(span, status=status, sink=spans)
     return {
         "__obs__": True,
-        "trace_id": ctx.trace_id,
+        "trace_id": trace_id,
         "result": record,
-        "spans": spans,
-        "events": events,
+        "spans": captured.spans,
+        "events": captured.events,
     }
 
 

@@ -11,6 +11,10 @@ from repro.core.api import RunResult, build_run_result, register_workload
 from repro.core.errors import ValidationError
 
 
+#: Kernel names :func:`repro.hls.kernels.make_kernel` builds.
+KERNELS = ("gemm", "dot", "fir8", "gather")
+
+
 class HLSWorkload:
     """``hls``: synthesize one directive configuration of one kernel."""
 
@@ -18,7 +22,7 @@ class HLSWorkload:
 
     def space(self) -> Dict[str, tuple]:
         return {
-            "kernel": ("gemm", "dot", "fir8", "gather"),
+            "kernel": KERNELS,
             "size": (64, 128, 256),
             "unroll": (2, 1, 4, 8, 16),
             "pipeline": (True, False),
@@ -43,9 +47,18 @@ class HLSWorkload:
                 f"hls supports impl=None|'scalar'|'numpy', got {impl!r}"
             )
         cfg = dict(config)
-        nest = make_kernel(
-            str(cfg.get("kernel", "gemm")), size=int(cfg.get("size", 64))
-        )
+        kernel = str(cfg.get("kernel", "gemm"))
+        if kernel not in KERNELS:
+            raise ValidationError(
+                f"hls config key 'kernel' must be one of {KERNELS}, "
+                f"got {kernel!r}"
+            )
+        size = int(cfg.get("size", 64))
+        if size < 1:
+            raise ValidationError(
+                f"hls config key 'size' must be >= 1, got {size}"
+            )
+        nest = make_kernel(kernel, size=size)
         directives = Directives(
             unroll=int(cfg.get("unroll", 1)),
             pipeline=bool(cfg.get("pipeline", False)),

@@ -16,6 +16,10 @@ boolean check on every hot path):
   (run/fault/retry/cache/admission/checkpoint events), with watcher
   hooks for crash-triggered consumers.
 
+:mod:`repro.obs.envelope` carries all three across a thread or process
+boundary: a worker runs under :func:`capture`, the coordinator hands
+what comes back to :func:`absorb`.
+
 Layered on the pillars (no extra enablement state of their own):
 
 - :mod:`repro.obs.recorder` -- a bounded flight-recorder ring of
@@ -38,6 +42,7 @@ from repro.obs.critical import (
     request_breakdowns,
     trace_breakdown,
 )
+from repro.obs.envelope import absorb, capture
 from repro.obs.ledger import (
     RunLedger,
     disable_ledger,
@@ -113,9 +118,11 @@ __all__ = [
     "Span",
     "TraceContext",
     "Tracer",
+    "absorb",
     "bucket_fraction_above",
     "bucket_percentile",
     "canonical_spans",
+    "capture",
     "chrome_trace",
     "compare_reports",
     "critical_path_report",

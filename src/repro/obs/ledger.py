@@ -9,10 +9,10 @@ happened under an active trace context, so a request's full story
 from one grep of the ledger plus the trace's spans.
 
 Same enablement policy as the tracer and metrics registry: disabled by
-default, one boolean check on the hot path.  Worker processes capture
-events into a thread-local buffer (:meth:`RunLedger.capture`) that the
-coordinator merges with :meth:`RunLedger.extend`, mirroring the span
-envelope, so events survive the process-pool hop too.
+default, one boolean check on the hot path.  Work done in another
+thread or process records into a buffer (:meth:`RunLedger.capture`)
+that the coordinator merges with :meth:`RunLedger.extend`; both run
+inside :func:`repro.obs.capture` and :func:`repro.obs.absorb`.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from typing import (
 #: Event-record keys that vary run to run (wall clock, measured
 #: delays, merge bookkeeping); the canonical form strips them.
 #: ``shard_seq`` is the originating shard's local sequence number,
-#: preserved when :func:`repro.serve.procshard.merge_shard_events`
-#: re-sorts a shipped batch deterministically.
+#: preserved when :func:`repro.obs.absorb` re-sorts a batch a shard
+#: shipped, deterministically.
 VOLATILE_EVENT_FIELDS = (
     "ts", "seq", "elapsed_s", "delay_s", "wait_s", "shard_seq",
 )
@@ -179,6 +179,12 @@ class RunLedger:
             return
         for record in records:
             self._append(dict(record))
+
+    def drain(self) -> List[Dict[str, Any]]:
+        """Take every event out (sequence numbers keep counting)."""
+        with self._lock:
+            records, self._events = self._events, []
+        return records
 
     # ------------------------------------------------------------- report
 

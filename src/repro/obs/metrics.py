@@ -7,22 +7,24 @@ timings measured before their label is known (``cache.get.hit`` /
 plus counters such as ``jit.fallback``.  Kernel timings are spans (see
 :func:`repro.obs.trace.profiled`); ``repro profile`` renders both
 stores.  :class:`repro.serve.ServiceMetrics` keeps its own exact
-per-service percentiles and mirrors its recordings here.
+per-service percentiles and mirrors its recordings here.  A pool
+worker or process shard drains its registry into an envelope that
+:func:`repro.obs.absorb` merges here, so their numbers count too.
 
 - **Counter** -- monotonically increasing count (requests served,
   cache hits, retries);
 - **Gauge** -- last-written value (queue depth, worker count);
 - **Histogram** -- fixed-bucket duration/size distribution whose
-  bucket counts are *mergeable*: a worker process can snapshot its
-  histogram, ship the counts in the result envelope, and the parent
+  bucket counts are *mergeable*: a worker process drains its
+  histogram, ships the counts in the result envelope, and the parent
   merges them by vector addition -- the property raw-sample percentile
   stores lack.  Percentiles come from
   :func:`repro.obs.stats.bucket_percentile`.
 
 The registry is disabled by default, and every record path checks a
 single boolean before doing any work.  ``snapshot()``/``to_json()``
-give one export surface; ``merge_snapshot()`` folds a worker snapshot
-in.
+give one export surface; ``merge_snapshot()`` folds in what another
+process's ``drain()`` took out.
 """
 
 from __future__ import annotations
@@ -43,13 +45,15 @@ DEFAULT_BOUNDS: Tuple[float, ...] = tuple(
 
 
 class Counter:
-    """Monotonic counter."""
+    """Monotonic counter; *fresh* marks an increment (even of zero)
+    since the last drain."""
 
-    __slots__ = ("name", "value", "_lock")
+    __slots__ = ("name", "value", "fresh", "_lock")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0.0
+        self.fresh = False
         self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
@@ -57,25 +61,41 @@ class Counter:
             raise ValidationError("counters only go up")
         with self._lock:
             self.value += amount
+            self.fresh = True
+
+    def drain(self) -> Optional[float]:
+        with self._lock:
+            value = self.value if self.fresh else None
+            self.value, self.fresh = 0.0, False
+        return value
 
 
 class Gauge:
-    """Last-value-wins gauge."""
+    """Last-value-wins gauge; *fresh* marks a write since the last
+    drain."""
 
-    __slots__ = ("name", "value", "_lock")
+    __slots__ = ("name", "value", "fresh", "_lock")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0.0
+        self.fresh = False
         self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         with self._lock:
             self.value = float(value)
+            self.fresh = True
 
     def add(self, amount: float) -> None:
         with self._lock:
             self.value += amount
+            self.fresh = True
+
+    def drain(self) -> Optional[float]:
+        with self._lock:
+            fresh, self.fresh = self.fresh, False
+            return self.value if fresh else None
 
 
 class Histogram:
@@ -145,6 +165,20 @@ class Histogram:
                 self.max is None or other_max > self.max
             ):
                 self.max = float(other_max)
+
+    def drain(self) -> Optional[Dict[str, Any]]:
+        """The observations since the last drain (``None`` for none)
+        in the form :meth:`merge` takes; the histogram restarts
+        empty."""
+        with self._lock:
+            out = None if not self.total else {
+                "bounds": list(self.bounds), "counts": self.counts,
+                "count": self.total, "sum": self.sum,
+                "min": self.min, "max": self.max,
+            }
+            self.counts = [0] * len(self.counts)
+            self.total, self.sum, self.min, self.max = 0, 0.0, None, None
+        return out
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
@@ -259,6 +293,26 @@ class MetricsRegistry:
                 for name in sorted(histograms)
             },
         }
+
+    def drain(self) -> Dict[str, Any]:
+        """What was recorded since the last drain, in the form
+        :meth:`merge_snapshot` takes; sections with nothing new are
+        left out, so nothing recorded gives ``{}``.  Instruments are
+        zeroed in place, not replaced, so a record racing the drain
+        lands in the next one instead of being lost."""
+        with self._lock:
+            sections = {
+                "counters": list(self._counters.values()),
+                "gauges": list(self._gauges.values()),
+                "histograms": list(self._histograms.values()),
+            }
+        out: Dict[str, Any] = {}
+        for section, instruments in sections.items():
+            drained = {i.name: i.drain() for i in instruments}
+            body = {k: v for k, v in drained.items() if v is not None}
+            if body:
+                out[section] = body
+        return out
 
     def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
         """Fold another process's :meth:`snapshot` into this registry

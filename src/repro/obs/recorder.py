@@ -5,10 +5,13 @@ histograms tell you *what* the steady state looked like; when a shard
 dies the question is *what the last few seconds looked like* -- queue
 depths climbing, backlog piling onto one shard, cache hit rate
 cratering.  The :class:`FlightRecorder` samples the process-wide
-:class:`~repro.obs.metrics.MetricsRegistry` snapshot plus any number of
-cheap gauge callables (``ShardCluster.gauges()``,
-``EvaluationService.gauges()``) into a ``deque(maxlen=capacity)`` ring,
-so memory stays bounded no matter how long the service runs.
+:class:`~repro.obs.metrics.MetricsRegistry` snapshot -- which also
+holds what pool workers and process shards recorded, once their
+envelopes are absorbed -- plus the cheap gauge callables registered
+with :meth:`~FlightRecorder.add_source` (:meth:`~FlightRecorder.attach_cluster`
+registers ``ShardCluster.gauges``; ``repro serve --trace-dir``
+registers the service's ``gauges``) into a ``deque(maxlen=capacity)``
+ring, so memory stays bounded no matter how long the service runs.
 
 Dumps are triggered two ways:
 
@@ -98,11 +101,6 @@ class FlightRecorder:
         """Sample a :class:`~repro.serve.cluster.ShardCluster`'s
         lock-only gauges (per-shard alive/backlog/queue depth)."""
         self.add_source("cluster", cluster.gauges)
-
-    def attach_service(self, service: Any) -> None:
-        """Sample an :class:`~repro.serve.service.EvaluationService`'s
-        lock-only gauges."""
-        self.add_source("service", service.gauges)
 
     # ------------------------------------------------------------ sampling
 

@@ -524,7 +524,13 @@ class Tracer:
     def add_records(
         self, records: Sequence[Mapping[str, Any]]
     ) -> None:
-        """Merge span records shipped back from a worker envelope."""
+        """File span records shipped back from a worker -- into the
+        thread's active sink if any, so a coordinator that itself runs
+        under a capture forwards them outward."""
+        sink = self._current_sink()
+        if sink is not None:
+            sink.extend(dict(record) for record in records)
+            return
         with self._lock:
             for record in records:
                 if len(self._spans) >= self.max_spans:
@@ -532,15 +538,11 @@ class Tracer:
                     continue
                 self._spans.append(dict(record))
 
-    def merge_records(
-        self, records: Sequence[Mapping[str, Any]]
-    ) -> None:
-        """Like :meth:`add_records`, but routed through the calling
-        thread's active sink (if any) -- so a coordinator that is itself
-        running under a capture envelope forwards worker spans outward
-        instead of filing them locally."""
-        for record in records:
-            self._file(dict(record))
+    def drain(self) -> List[Dict[str, Any]]:
+        """Take every filed span record out (order counters stay)."""
+        with self._lock:
+            records, self._spans = self._spans, []
+        return records
 
     # ------------------------------------------------------------- reports
 

@@ -18,12 +18,11 @@ calling thread under its own send lock and reads with
   admission bound caps how many requests -- and so how many bytes a
   blocked send can have waiting -- are in flight;
 - the child streams back ``done`` records (``RunResult`` wire form)
-  and -- when the run ledger or tracing was enabled at spawn time --
-  its ledger events and spans, flushed whenever it sits idle for
-  ``heartbeat_s``; the parent merges them tagged with the shard id.
-  Metrics are pulled, not pushed: :meth:`ProcessShard.snapshot` asks
-  the live worker for its :class:`~repro.serve.metrics.ServiceMetrics`
-  snapshot;
+  and, when idle for ``heartbeat_s`` and at stop, one ``obs`` envelope
+  of its drained spans, ledger events and metrics (pillars on at spawn
+  as in the parent), which the parent absorbs tagged with the shard
+  id.  :meth:`ProcessShard.snapshot` pulls the child's
+  :class:`~repro.serve.metrics.ServiceMetrics` snapshot;
 - process liveness *is* the heartbeat: ``kill -9`` on the child makes
   :attr:`ProcessShard.alive` go false (a caller blocked on admission
   is released with ``reason="stopped"`` and rerouted by the cluster),
@@ -58,7 +57,9 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.api import RunResult
 from repro.core.errors import ValidationError
-from repro.obs.ledger import RunLedger, get_ledger
+from repro.obs.envelope import absorb
+from repro.obs.ledger import get_ledger
+from repro.obs.metrics import get_metrics
 from repro.obs.trace import TraceContext, get_tracer
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.request import AdmissionRejected, EvalRequest
@@ -119,6 +120,7 @@ def _shard_worker_main(
     spec: Dict[str, Any],
     ledger_on: bool,
     tracing_on: bool,
+    metrics_on: bool,
     heartbeat_s: float,
 ) -> None:
     """Worker-process entry point: host one shard's service, talking
@@ -128,11 +130,10 @@ def _shard_worker_main(
     plus a trailing trace wire context when the parent runs under
     tracing -- ``("snapshot", token)``, ``("stop", drain)``.  Child ->
     parent: ``("ready", pid)``, ``("done", rid, result_json)``,
-    ``("reject", rid, reason, message)``, ``("events", records)``,
-    ``("spans", records)``, ``("snapshot", token, snapshot)``,
-    ``("stopped", snapshot)``.  Every child message
-    is prefixed with ``(kind, shard_id, incarnation, ...)`` so the
-    parent can attribute it even in logs.  The main loop and the
+    ``("reject", rid, reason, message)``, ``("obs", envelope)``,
+    ``("snapshot", token, snapshot)``, ``("stopped", snapshot)``.
+    Every child message is prefixed with ``(kind, shard_id,
+    incarnation, ...)`` so the parent can attribute it even in logs.  The main loop and the
     service's done-callbacks both send, under one lock.  The loop ends
     on ``stop``, or when the parent's end of the pipe is gone.
     """
@@ -143,18 +144,15 @@ def _shard_worker_main(
     # children, and a ``parallel`` shard's evaluator forks a pool.  Its
     # workers exit on their own once this process is gone.
     multiprocessing.current_process().daemon = False
-    ledger = get_ledger()
+    tracer, ledger, registry = get_tracer(), get_ledger(), get_metrics()
+    if tracing_on:
+        tracer.enable()
     if ledger_on:
         ledger.enable()
-    tracer = get_tracer()
-    if tracing_on:
-        from repro.obs.trace import enable_tracing
-
-        tracer = enable_tracing()
+    if metrics_on:
+        registry.enable()
     service = EvaluationService(**spec)
     service.shard_index = shard_id
-    events_sent = 0
-    spans_sent = 0
     send_lock = threading.Lock()
 
     def _send(kind: str, *payload: Any) -> None:
@@ -165,25 +163,15 @@ def _shard_worker_main(
         except OSError:
             pass  # the parent is gone; the main loop sees EOF and exits
 
-    def _flush_events() -> None:
-        nonlocal events_sent
-        if not ledger.enabled:
-            return
-        records = ledger.events()
-        if len(records) > events_sent:
-            _send("events", records[events_sent:])
-            events_sent = len(records)
-
-    def _flush_spans() -> None:
-        # Only completed spans are ever filed, so the span list grows
-        # monotonically; an incremental cursor ships each record once.
-        nonlocal spans_sent
-        if not tracer.enabled:
-            return
-        records = tracer.spans()
-        if len(records) > spans_sent:
-            _send("spans", records[spans_sent:])
-            spans_sent = len(records)
+    def _flush() -> None:
+        # Drained, so each record ships once and the stores stay small.
+        envelope = {
+            "spans": tracer.drain() if tracer.enabled else [],
+            "events": ledger.drain() if ledger.enabled else [],
+            "metrics": registry.drain() if registry.enabled else {},
+        }
+        if any(envelope.values()):
+            _send("obs", envelope)
 
     def _on_done(rid: int, future: "Future[RunResult]") -> None:
         exc = future.exception()
@@ -199,8 +187,7 @@ def _shard_worker_main(
     while True:
         try:
             if not conn.poll(heartbeat_s):
-                _flush_spans()
-                _flush_events()
+                _flush()
                 continue
             message = conn.recv()
         except (EOFError, OSError):
@@ -232,41 +219,9 @@ def _shard_worker_main(
             _send("snapshot", message[1], service.snapshot())
         elif kind == "stop":
             service.shutdown(drain=bool(message[1]))
-            _flush_spans()
-            _flush_events()
+            _flush()
             _send("stopped", service.snapshot())
             break
-
-
-def merge_shard_events(
-    ledger: RunLedger,
-    shard_index: int,
-    records: Any,
-) -> None:
-    """Merge one shipped batch of shard ledger events deterministically.
-
-    Each record is tagged with the originating shard, its child-side
-    sequence number is preserved as ``shard_seq`` (volatile), and the
-    batch is sorted by ``(trace_id, shard_seq)`` before the extend --
-    so two shards flushing concurrently can interleave their batches
-    any way the pump threads race, yet each trace's event story arrives
-    in the shard's own causal order and the canonical ledger form
-    (grouped per trace) comes out byte-identical across runs.
-    """
-    if not ledger.enabled or not records:
-        return
-    tagged = [
-        {
-            **record,
-            "shard": shard_index,
-            "shard_seq": record.get("seq", position),
-        }
-        for position, record in enumerate(records)
-    ]
-    tagged.sort(
-        key=lambda r: (str(r.get("trace_id", "")), r["shard_seq"])
-    )
-    ledger.extend(tagged)
 
 
 class ProcessShard:
@@ -323,6 +278,7 @@ class ProcessShard:
                 self._spec,
                 get_ledger().enabled,
                 get_tracer().enabled,
+                get_metrics().enabled,
                 heartbeat_s,
             ),
             name=f"repro-shard-{index}.{incarnation}",
@@ -481,25 +437,8 @@ class ProcessShard:
                     reason=reason,
                 ),
             )
-        elif kind == "events":
-            ledger = get_ledger()
-            if ledger.enabled:
-                merge_shard_events(ledger, self.index, payload[0])
-        elif kind == "spans":
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.add_records(
-                    [
-                        {
-                            **record,
-                            "volatile": {
-                                **(record.get("volatile") or {}),
-                                "shard": self.index,
-                            },
-                        }
-                        for record in payload[0]
-                    ]
-                )
+        elif kind == "obs":
+            absorb(payload[0], shard=self.index)
         elif kind == "snapshot":
             token, snapshot = payload
             self._last_snapshot = snapshot
@@ -614,6 +553,5 @@ __all__ = [
     "ProcessShard",
     "SPEC_KEYS",
     "START_TIMEOUT_S",
-    "merge_shard_events",
     "validate_process_spec",
 ]

@@ -34,6 +34,7 @@ from repro.core.errors import ValidationError
 from repro.exec import ParallelEvaluator, coerce_cache
 from repro.exec.parallel import CacheLike, EvaluatorLike, make_evaluator
 from repro.exec.requests import evaluate_batch, read_record, record_ok
+from repro.obs.envelope import absorb
 from repro.obs.ledger import get_ledger
 from repro.obs.trace import TraceContext, TraceSlots, get_tracer
 from repro.resilience import BackoffPolicy
@@ -522,7 +523,8 @@ class EvaluationService:
     ) -> Tuple[List[Any], List[Optional[Dict[str, Any]]], set]:
         """Per traced request: record its measured ``queue.wait`` span,
         open its ``batch`` span, and build the wire context its worker
-        task will evaluate under."""
+        task will evaluate under.  The wire names no ``metrics``: the
+        envelope it yields is the record the cache keeps."""
         tracer = get_tracer()
         ledger_on = get_ledger().enabled
         batch_spans: List[Any] = []
@@ -645,8 +647,7 @@ class EvaluationService:
             if envelope is not None and envelope["trace_id"] == tid:
                 # Freshly computed for this very request: its
                 # worker/kernel spans belong in this trace.
-                tracer.add_records(envelope["spans"])
-                ledger.extend(envelope["events"])
+                absorb(envelope)
             elif envelope is not None:
                 origin = (
                     "evaluation.deduped"

@@ -23,7 +23,7 @@ from repro.campaign import (
 )
 from repro.campaign.runner import _TRACE_OCCURRENCES
 from repro.core.api import build_run_result, register_workload
-from repro.core.errors import ValidationError
+from repro.core.errors import ReproError, ValidationError
 from repro.imc.sweep import CrossbarSweepSpec
 from repro.obs.ledger import get_ledger
 from repro.obs.trace import canonical_spans, get_tracer
@@ -480,6 +480,28 @@ class TestExecutionModes:
         assert len(report.value("tolerant")) == 1  # ok values only
         assert not report.ok
         assert report.counts()["error"] == 1
+
+    def test_uncaptured_error_aborts_on_every_runner(self):
+        from repro.serve import EvaluationService
+
+        def graph():
+            graph = CampaignGraph()
+            graph.evaluate(
+                "bad", "hls", config={"kernel": "nope"},
+                capture_errors=False,
+            )
+            return graph
+
+        with pytest.raises(ValidationError, match="'kernel'"):
+            GraphRunner().run(graph())
+        service = EvaluationService(batch_size=4, batch_wait_s=0.001)
+        try:
+            with pytest.raises(
+                ReproError, match="'bad'.*ValidationError.*'kernel'"
+            ):
+                GraphRunner(service=service).run(graph())
+        finally:
+            service.shutdown()
 
 
 # -------------------------------------------------- wrapper equivalence

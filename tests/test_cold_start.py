@@ -266,7 +266,7 @@ class TestHitServingShardImportsNoSubsystem:
             parent, child = Pipe()
             worker = threading.Thread(
                 target=_shard_worker_main,
-                args=(0, 0, child, spec, False, False, 0.05),
+                args=(0, 0, child, spec, False, False, False, 0.05),
             )
             worker.start()
             ready = parent.recv()

@@ -230,6 +230,29 @@ class TestDirectivesAndSynthesis:
         with pytest.raises(ValueError):
             LoopNest("x", trip_count=0, body=diamond_graph())
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [({"kernel": "nope"}, "'kernel'"), ({"size": 0}, "'size'")],
+    )
+    def test_bad_config_is_a_typed_boundary_error(self, config, key):
+        from repro.core.api import get_workload
+        from repro.core.errors import ValidationError
+        from repro.serve import EvaluationService
+        from repro.serve.request import EvalRequest
+
+        with pytest.raises(ValidationError, match=key):
+            get_workload("hls").evaluate(config)
+        service = EvaluationService(batch_size=2, batch_wait_s=0.001)
+        try:
+            result = service.submit_request(
+                EvalRequest("hls", config), block=True
+            ).result(timeout=60)
+        finally:
+            service.shutdown()
+        assert result.status == "error"
+        assert result.error_type == "ValidationError"
+        assert key in result.error
+
     def test_unroll_reduces_cycles(self):
         nest = make_kernel("gemm", size=64)
         base = synthesize(nest, Directives(unroll=1, mul_units=16,

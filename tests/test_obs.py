@@ -363,6 +363,23 @@ class TestMetrics:
         assert snap["gauges"]["depth"] == 7.0
         assert snap["histograms"]["latency"]["count"] == 1
 
+    def test_drain_ships_each_record_once(self):
+        worker = MetricsRegistry(enabled=True)
+        worker.inc("cache.hits", 3)
+        worker.inc("retries", 0)
+        worker.set_gauge("depth", 7)
+        worker.observe("latency", 0.02)
+        parent = MetricsRegistry(enabled=True)
+        parent.merge_snapshot(worker.drain())
+        assert worker.drain() == {}
+        worker.inc("cache.hits")
+        parent.merge_snapshot(worker.drain())
+        snap = parent.snapshot()
+        assert snap["counters"] == {"cache.hits": 4.0, "retries": 0.0}
+        assert snap["gauges"] == {"depth": 7.0}
+        assert snap["histograms"]["latency"]["count"] == 1
+        assert snap["histograms"]["latency"]["max"] == 0.02
+
     def test_to_json_is_sorted_and_parseable(self):
         registry = MetricsRegistry(enabled=True)
         registry.observe("latency", 0.5)

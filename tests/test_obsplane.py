@@ -24,8 +24,10 @@ import time
 import pytest
 
 from repro import obs
-from repro.core.api import get_workload
+from repro.core.api import example_config, get_workload
 from repro.core.errors import ValidationError
+from repro.core.jit import numba_available
+from repro.exec import ParallelEvaluator
 from repro.obs.critical import (
     PHASES,
     compare_reports,
@@ -33,7 +35,7 @@ from repro.obs.critical import (
     request_breakdowns,
     trace_breakdown,
 )
-from repro.obs.ledger import RunLedger, get_ledger
+from repro.obs.ledger import get_ledger
 from repro.obs.metrics import get_metrics, prometheus_text
 from repro.obs.recorder import FlightRecorder, load_flight_jsonl
 from repro.obs.slo import SLOEvaluator, SLOSpec, evaluate_slos
@@ -41,7 +43,6 @@ from repro.obs.stats import bucket_fraction_above
 from repro.obs.trace import derive_span_id, derive_trace_id, get_tracer
 from repro.resilience import ChaosPolicy
 from repro.serve import ShardCluster, run_chaos_campaign
-from repro.serve.procshard import merge_shard_events
 from repro.serve.request import EvalRequest
 from repro.serve.service import EvaluationService
 
@@ -238,9 +239,9 @@ class TestMergeShardEvents:
         ]
 
     def test_merge_sorts_by_trace_then_child_seq(self):
-        ledger = RunLedger()
+        ledger = get_ledger()
         ledger.enable()
-        merge_shard_events(ledger, 3, self._batch())
+        obs.absorb({"events": self._batch()}, shard=3)
         events = ledger.events()
         assert [
             (e["trace_id"], e["event"]) for e in events
@@ -255,20 +256,103 @@ class TestMergeShardEvents:
         assert [e["shard_seq"] for e in events] == [0, 1, 0, 2]
 
     def test_merge_is_deterministic_under_arrival_shuffle(self):
-        ledger_a = RunLedger()
-        ledger_a.enable()
-        merge_shard_events(ledger_a, 0, self._batch())
+        ledger = get_ledger()
+        ledger.enable()
+        obs.absorb({"events": self._batch()}, shard=0)
+        in_order = ledger.canonical_json()
+        ledger.reset()
         shuffled = self._batch()
         random.Random(7).shuffle(shuffled)
-        ledger_b = RunLedger()
-        ledger_b.enable()
-        merge_shard_events(ledger_b, 0, shuffled)
-        assert ledger_a.canonical_json() == ledger_b.canonical_json()
+        obs.absorb({"events": shuffled}, shard=0)
+        assert ledger.canonical_json() == in_order
 
     def test_disabled_ledger_ignores_batch(self):
-        ledger = RunLedger()
-        merge_shard_events(ledger, 0, self._batch())
-        assert ledger.events() == []
+        obs.absorb({"events": self._batch()}, shard=0)
+        assert get_ledger().events() == []
+
+
+def _count_call(value):
+    get_metrics().inc("test.calls")
+    return value
+
+
+def _sparta_jit_fallbacks(**service_kwargs):
+    """Serve four ``sparta`` ``impl="jit"`` requests; the registry's
+    ``jit.fallback`` count afterwards."""
+    config = example_config(get_workload("sparta"))
+    service = EvaluationService(
+        batch_size=4, batch_wait_s=0.2, **service_kwargs
+    )
+    try:
+        futures = [
+            service.submit_request(
+                EvalRequest("sparta", config, seed=seed, impl="jit"),
+                block=True,
+            )
+            for seed in range(4)
+        ]
+        for future in futures:
+            assert future.result(timeout=120).ok
+    finally:
+        service.shutdown()
+    return get_metrics().snapshot()["counters"].get("jit.fallback")
+
+
+class TestRegistryAcrossProcesses:
+    """The metrics registry counts work wherever it ran, and once."""
+
+    def test_process_cluster_counters_match_its_snapshot(self):
+        obs.enable()
+        cluster = ShardCluster(
+            backend="process", num_shards=2, batch_size=4,
+            batch_wait_s=0.002, supervise=False,
+        )
+        cluster.wait_ready()
+        try:
+            futures = [
+                cluster.submit_request(request, block=True)
+                for request in _requests(6) * 2
+            ]
+            for future in futures:
+                assert future.result().ok
+        finally:
+            cluster.shutdown()
+        requests = cluster.snapshot()["requests"]
+        counters = get_metrics().snapshot()["counters"]
+        assert requests["completed"] == 12
+        assert counters["serve.submitted"] == requests["submitted"]
+        assert counters["serve.completed"] == requests["completed"]
+
+    @pytest.mark.skipif(numba_available(), reason="jit does not fall back")
+    def test_pool_jit_fallbacks_match_in_process(self):
+        obs.enable_metrics()
+        assert _sparta_jit_fallbacks(parallel=2) == 4
+        get_metrics().reset()
+        assert _sparta_jit_fallbacks() == 4
+
+    @pytest.mark.skipif(numba_available(), reason="jit does not fall back")
+    def test_traced_warm_cache_hit_merges_no_metrics(self, tmp_path):
+        obs.enable()
+        cache = str(tmp_path / "cache.json")
+        assert _sparta_jit_fallbacks(parallel=2, cache=cache) == 4
+        # A fresh service re-derives the same trace ids, so every hit
+        # replays its cached record's spans -- but never metrics.
+        assert _sparta_jit_fallbacks(parallel=2, cache=cache) == 4
+        names = [span["name"] for span in get_tracer().spans()]
+        assert names.count("worker") == 8
+        with open(cache, encoding="utf-8") as fh:
+            records = json.load(fh).values()
+        assert all(
+            record["__obs__"] and "metrics" not in record
+            for record in records
+        )
+
+    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    def test_every_mode_counts_each_metric_once(self, mode):
+        obs.enable()
+        with ParallelEvaluator(max_workers=2, mode=mode) as engine:
+            assert engine.map(_count_call, range(6)) == list(range(6))
+        assert get_metrics().snapshot()["counters"]["test.calls"] == 6
 
 
 # ------------------------------------------------------------- recorder

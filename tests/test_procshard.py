@@ -188,7 +188,14 @@ class TestProcessCluster:
                 _running(pid) for pid in workers
             ):
                 time.sleep(0.05)
-            assert not any(_running(pid) for pid in workers)
+            survivors = {
+                pid: (_stat(pid), _signal_masks(pid))
+                for pid in workers if _running(pid)
+            }
+            assert not survivors, (
+                "pool workers outlived their killed shard "
+                f"(pid: ((state, ppid), signal masks)): {survivors}"
+            )
         finally:
             for pid in workers:
                 if _running(pid):
@@ -204,6 +211,21 @@ def _stat(pid):
     except (OSError, IndexError):
         return None
     return fields[0], int(fields[1])
+
+
+def _signal_masks(pid):
+    """``SigBlk`` and ``SigCgt`` of *pid* from ``/proc``: whether it
+    blocks or handles the parent-death signal."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return {}
+    fields = (line.split(":", 1) for line in lines if ":" in line)
+    return {
+        key: value.strip() for key, value in fields
+        if key in ("SigBlk", "SigCgt")
+    }
 
 
 def _children(parent):
