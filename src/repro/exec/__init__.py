@@ -21,18 +21,16 @@ Entry points:
   share.
 """
 
-from repro.exec.cache import ResultCache, canonical_payload, config_digest
-from repro.exec.parallel import (
-    ParallelEvaluator,
-    coerce_cache,
-    make_evaluator,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ParallelEvaluator",
-    "ResultCache",
-    "canonical_payload",
-    "coerce_cache",
-    "config_digest",
-    "make_evaluator",
-]
+_EXPORTS = {
+    "repro.exec.cache": ("ResultCache", "canonical_payload", "config_digest"),
+    "repro.exec.parallel": (
+        "ParallelEvaluator",
+        "coerce_cache",
+        "make_evaluator",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

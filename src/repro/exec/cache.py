@@ -30,13 +30,12 @@ import enum
 import hashlib
 import json
 import os
+import sys
 import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, FrozenSet, Optional, Union
-
-import numpy as np
 
 from repro.core.api import PLAIN_SCALARS
 from repro.core.errors import ValidationError
@@ -64,10 +63,17 @@ def canonical_payload(
         return obj + 0.0
     if isinstance(obj, enum.Enum):
         return {"__enum__": type(obj).__qualname__, "name": obj.name}
-    if isinstance(obj, (np.bool_, np.integer, np.floating)):
-        return canonical_payload(obj.item())
-    if isinstance(obj, np.ndarray):
-        return [canonical_payload(v) for v in obj.tolist()]
+    if "numpy" in sys.modules:
+        # No numpy value exists before numpy is imported, so a process
+        # that never imports it (a shard serving hits) skips the check.
+        # The import statement, unlike a ``sys.modules`` read, waits
+        # while another thread is still initializing numpy.
+        import numpy as np
+
+        if isinstance(obj, (np.bool_, np.integer, np.floating)):
+            return canonical_payload(obj.item())
+        if isinstance(obj, np.ndarray):
+            return [canonical_payload(v) for v in obj.tolist()]
     if isinstance(obj, type):
         raise ValidationError(
             f"cannot canonicalize class object {obj.__qualname__!r}"

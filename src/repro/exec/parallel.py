@@ -322,13 +322,17 @@ class ParallelEvaluator:
         *keys*, when given, must align with *tasks*: each key is the
         content digest of its task, used for cache lookup and in-batch
         deduplication (two tasks with the same key are computed once).
-        Results are returned in task order.
+        Results are returned in task order.  A
+        :class:`~repro.core.errors.WorkerCrashError` escaping the map
+        carries, as ``completed``, ``(index into tasks, value)`` for
+        every task it did settle; those values are cached already.
         """
         tasks = list(tasks)
         if keys is not None and len(keys) != len(tasks):
             raise ValidationError("keys must align one-to-one with tasks")
         self.tasks_seen += len(tasks)
         results: List[Any] = [None] * len(tasks)
+        settled: List[int] = []  # indices of *results* already filled
 
         # Resolve cache hits and deduplicate identical pending cells.
         pending: List[int] = []  # index of the first occurrence per key
@@ -339,6 +343,7 @@ class ParallelEvaluator:
                 hit = self.cache.get(key)
                 if hit is not None:
                     results[idx] = hit
+                    settled.append(idx)
                     self.tasks_cached += 1
                     continue
             if key is not None and key in followers:
@@ -357,26 +362,39 @@ class ParallelEvaluator:
                 keys[i] if keys is not None else None for i in pending
             ]
             if header is not None:
+                call = _captured_call
                 payloads = [(fn, tasks[i], i, header) for i in pending]
-                computed = []
-                for reply in self._compute(
-                    _captured_call, payloads, subkeys
-                ):
-                    absorb(reply)
-                    computed.append(reply["value"])
             else:
-                computed = self._compute(
-                    fn, [tasks[i] for i in pending], subkeys
+                call, payloads = fn, [tasks[i] for i in pending]
+            crash: Optional[WorkerCrashError] = None
+            try:
+                computed = list(
+                    enumerate(self._compute(call, payloads, subkeys))
                 )
-            self.tasks_computed += len(computed)
-            for slot, value in zip(pending, computed):
+            except WorkerCrashError as exc:
+                # Settle (absorb, cache) what finished before the crash,
+                # so the caller re-maps only the rest.
+                crash, computed = exc, list(exc.completed)
+            for rel, value in computed:
+                if header is not None:
+                    absorb(value)
+                    value = value["value"]
+                self.tasks_computed += 1
+                slot = pending[rel]
                 results[slot] = value
+                settled.append(slot)
                 key = keys[slot] if keys is not None else None
                 if key is not None:
                     if self.cache is not None:
                         self.cache.put(key, value)
                     for follower in followers.get(key, ()):
                         results[follower] = value
+                        settled.append(follower)
+            if crash is not None:
+                crash.completed = tuple(
+                    (i, results[i]) for i in sorted(settled)
+                )
+                raise crash
         return results
 
     # ------------------------------------------------------- crash recovery

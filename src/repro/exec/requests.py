@@ -166,9 +166,10 @@ def _map_with_recovery(
 
     :class:`~repro.core.errors.WorkerCrashError` from the engine names
     the quarantined digests (poison tasks that crashed their worker
-    repeatedly); those become error records, and the rest of the batch
-    is re-mapped -- one poison request must never take its batch-mates
-    down with it.  A crashed task without *capture* re-raises the
+    repeatedly); those become error records, the values it completed
+    are kept, and only the rest of the batch is re-mapped -- one poison
+    request must never take its batch-mates down with it, nor make
+    them run twice.  A crashed task without *capture* re-raises the
     crash.  The loop is bounded: every pass either completes or
     quarantines at least one digest.
     """
@@ -182,10 +183,13 @@ def _map_with_recovery(
                 keys=[keys[i] for i in slots],
             )
         except WorkerCrashError as exc:
+            for rel, record in exc.completed:
+                records[slots[rel]] = record
+            done = {slots[rel] for rel, _ in exc.completed}
             quarantined = set(exc.quarantined)
             crashed = {
-                i for i in slots
-                if not quarantined or keys[i] in quarantined
+                i for i in slots if i not in done
+                and (not quarantined or keys[i] in quarantined)
             }
             if not all(tasks[i][6] for i in crashed):
                 raise
@@ -194,7 +198,8 @@ def _map_with_recovery(
             )
             for i in crashed:
                 records[i] = _error_record(tasks[i], exc, "WorkerCrashError")
-            slots = [i for i in slots if i not in crashed]
+            settled = crashed | done
+            slots = [i for i in slots if i not in settled]
             continue
         for i, record in zip(slots, mapped):
             records[i] = record

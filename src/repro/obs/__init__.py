@@ -20,7 +20,9 @@ boolean check on every hot path):
 boundary: a worker runs under :func:`capture`, the coordinator hands
 what comes back to :func:`absorb`.
 
-Layered on the pillars (no extra enablement state of their own):
+Layered on the pillars (no extra enablement state of their own, and
+imported on first use of one of their names, so a process that only
+records -- a process shard -- never loads them):
 
 - :mod:`repro.obs.recorder` -- a bounded flight-recorder ring of
   periodic metric/gauge samples, dumped automatically on shard
@@ -36,12 +38,7 @@ Layered on the pillars (no extra enablement state of their own):
 what the ``repro serve --trace-dir`` path and the tests use.
 """
 
-from repro.obs.critical import (
-    compare_reports,
-    critical_path_report,
-    request_breakdowns,
-    trace_breakdown,
-)
+from repro._lazy import lazy_exports
 from repro.obs.envelope import absorb, capture
 from repro.obs.ledger import (
     RunLedger,
@@ -60,15 +57,6 @@ from repro.obs.metrics import (
     get_metrics,
     prometheus_text,
 )
-from repro.obs.recorder import FlightRecorder, load_flight_jsonl
-from repro.obs.report import (
-    render_summary,
-    render_top,
-    render_trace,
-    select_trace,
-    summarize_spans,
-)
-from repro.obs.slo import SLOEvaluator, SLOSpec, evaluate_slos
 from repro.obs.stats import (
     bucket_fraction_above,
     bucket_percentile,
@@ -89,6 +77,24 @@ from repro.obs.trace import (
     load_trace_jsonl,
     profiled,
 )
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.critical": (
+        "compare_reports",
+        "critical_path_report",
+        "request_breakdowns",
+        "trace_breakdown",
+    ),
+    "repro.obs.recorder": ("FlightRecorder", "load_flight_jsonl"),
+    "repro.obs.report": (
+        "render_summary",
+        "render_top",
+        "render_trace",
+        "select_trace",
+        "summarize_spans",
+    ),
+    "repro.obs.slo": ("SLOEvaluator", "SLOSpec", "evaluate_slos"),
+})
 
 
 def enable() -> None:

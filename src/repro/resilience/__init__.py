@@ -29,33 +29,25 @@ Entry points:
   bursts) for the sharded serving tier's chaos harness.
 """
 
-from repro.resilience.breaker import (
-    CircuitBreaker,
-    CircuitOpenError,
-)
-from repro.resilience.chaos import ChaosEvent, ChaosPolicy
-from repro.resilience.checkpoint import CheckpointStore
-from repro.resilience.faults import FaultInjector, FaultModel, FaultyStorage
-from repro.resilience.policy import ResiliencePolicy
-from repro.resilience.retry import (
-    BackoffPolicy,
-    Deadline,
-    RunOutcome,
-    resilient_run,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BackoffPolicy",
-    "ChaosEvent",
-    "ChaosPolicy",
-    "CheckpointStore",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "Deadline",
-    "FaultInjector",
-    "FaultModel",
-    "FaultyStorage",
-    "ResiliencePolicy",
-    "RunOutcome",
-    "resilient_run",
-]
+_EXPORTS = {
+    "repro.resilience.breaker": ("CircuitBreaker", "CircuitOpenError"),
+    "repro.resilience.chaos": ("ChaosEvent", "ChaosPolicy"),
+    "repro.resilience.checkpoint": ("CheckpointStore",),
+    "repro.resilience.faults": (
+        "FaultInjector",
+        "FaultModel",
+        "FaultyStorage",
+    ),
+    "repro.resilience.policy": ("ResiliencePolicy",),
+    "repro.resilience.retry": (
+        "BackoffPolicy",
+        "Deadline",
+        "RunOutcome",
+        "resilient_run",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple, Type
 
 from repro.core.errors import SimulationTimeout, TransientFault, ValidationError
-from repro.core.rng import SeedLike, make_rng
+
+if TYPE_CHECKING:
+    from repro.core.rng import SeedLike
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,8 @@ class BackoffPolicy:
             self.max_delay_s,
         )
         if self.jitter:
+            from repro.core.rng import make_rng
+
             generator = make_rng(rng)
             delay *= 1.0 + self.jitter * float(generator.uniform(-1.0, 1.0))
         return delay
@@ -150,6 +154,7 @@ def resilient_run(
     A *deadline* is checked before every attempt, so a retry storm
     cannot outlive its wall-clock budget.
     """
+    from repro.core.rng import make_rng
     from repro.obs.ledger import get_ledger
 
     ledger = get_ledger()

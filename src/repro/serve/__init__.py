@@ -29,57 +29,45 @@ batching, async, caching"):
   asserting exactly-once completion under shard kills;
 - :mod:`repro.serve.loadgen` -- deterministic synthetic traffic for
   benches and the ``repro serve`` CLI.
+
+Each name is imported from its module on first use
+(:func:`repro._lazy.lazy_exports`), so a process shard, which imports
+only the service and its worker loop, never loads the cluster,
+capacity or load-generator modules (nor numpy).
 """
 
-from repro.serve.capacity import (
-    CapacityModel,
-    CapacityPlan,
-    ShardCostModel,
-    capacity_report,
-)
-from repro.serve.cluster import (
-    ShardCluster,
-    ShardRouter,
-    Supervisor,
-    incomplete_from_ledger,
-    run_chaos_campaign,
-)
-from repro.serve.procshard import ProcessShard
-from repro.serve.loadgen import (
-    config_pool,
-    generate_requests,
-    run_load,
-    zipf_weights,
-)
-from repro.serve.metrics import ServiceMetrics
-from repro.serve.request import (
-    AdmissionRejected,
-    EvalRequest,
-    PRIORITY_LANES,
-    load_requests,
-)
-from repro.serve.service import EvaluationService, serve_requests
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionRejected",
-    "CapacityModel",
-    "CapacityPlan",
-    "EvalRequest",
-    "EvaluationService",
-    "PRIORITY_LANES",
-    "ProcessShard",
-    "ServiceMetrics",
-    "ShardCluster",
-    "ShardCostModel",
-    "ShardRouter",
-    "Supervisor",
-    "capacity_report",
-    "config_pool",
-    "generate_requests",
-    "incomplete_from_ledger",
-    "load_requests",
-    "run_chaos_campaign",
-    "run_load",
-    "serve_requests",
-    "zipf_weights",
-]
+_EXPORTS = {
+    "repro.serve.capacity": (
+        "CapacityModel",
+        "CapacityPlan",
+        "ShardCostModel",
+        "capacity_report",
+    ),
+    "repro.serve.cluster": (
+        "ShardCluster",
+        "ShardRouter",
+        "Supervisor",
+        "incomplete_from_ledger",
+        "run_chaos_campaign",
+    ),
+    "repro.serve.procshard": ("ProcessShard",),
+    "repro.serve.loadgen": (
+        "config_pool",
+        "generate_requests",
+        "run_load",
+        "zipf_weights",
+    ),
+    "repro.serve.metrics": ("ServiceMetrics",),
+    "repro.serve.request": (
+        "AdmissionRejected",
+        "EvalRequest",
+        "PRIORITY_LANES",
+        "load_requests",
+    ),
+    "repro.serve.service": ("EvaluationService", "serve_requests"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

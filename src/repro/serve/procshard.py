@@ -30,6 +30,16 @@ calling thread under its own send lock and reads with
   fresh incarnation, and the cluster replays the stranded requests
   onto survivors exactly as in the in-process design.
 
+A shard starts with its serving path only: the ``repro`` packages
+export their names lazily and cache digests look for numpy types only
+once numpy is loaded, so a shard that serves cache hits imports the
+service, its evaluator and cache, the observability pillars and retry
+-- no numpy, no subsystem adapter, none of the cluster, capacity,
+load-generator, flight-recorder, SLO or chaos modules.  It imports a
+workload's adapter (and numpy with it) at its first miss on that
+workload.  First starts and supervised restarts pay the same
+spawn-to-ready time.
+
 A shard killed after computing a result but before the parent drained
 the response pipe can still deliver that result; the cluster's set-once
 future discards the replayed duplicate, so delivery stays exactly-once

@@ -12,10 +12,12 @@ interpreter start-up -- but they cover the real OS failure mode the
 in-process chaos tests cannot: SIGKILL, no cleanup, no goodbye.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
 import time
+from multiprocessing import resource_tracker
 
 import pytest
 
@@ -201,6 +203,38 @@ class TestProcessCluster:
                 if _running(pid):
                     os.kill(pid, signal.SIGKILL)
             cluster.shutdown(drain=False)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process tables in /proc"
+    )
+    def test_setup_loop_leaves_no_process_behind(self, tmp_path):
+        """The cold-start bench's setup loop, five times: a 2-shard
+        process cluster on a warmed disk cache, ready, one hit,
+        shutdown.  No process it started outlives it (multiprocessing's
+        resource tracker is shared by the whole test run, not started
+        per cluster)."""
+        cache = str(tmp_path / "cache.json")
+        request = _requests(1)[0]
+        before = set(multiprocessing.active_children())
+        children = _children(os.getpid())
+
+        def setup_once():
+            cluster = _process_cluster(
+                cache=cache, batch_size=8, max_queue=256
+            )
+            try:
+                assert cluster.wait_ready(timeout=90)
+                future = cluster.submit_request(request, block=True)
+                assert future.result(timeout=120).ok
+            finally:
+                cluster.shutdown()
+
+        setup_once()  # warms the disk cache
+        for _ in range(5):
+            setup_once()
+        assert set(multiprocessing.active_children()) - before == set()
+        tracker = resource_tracker._resource_tracker._pid
+        assert _children(os.getpid()) - children - {tracker} == set()
 
 
 def _stat(pid):

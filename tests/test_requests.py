@@ -9,6 +9,7 @@ path (traced ``__obs__`` envelopes included) reads back on the other.
 """
 
 import os
+import time
 
 import pytest
 
@@ -39,7 +40,10 @@ class _PoisonWorkload:
     """``x == 13`` kills the worker process that evaluates it; any other
     ``x`` evaluates normally.  In the test process itself the poison
     raises instead, so a fallback to in-process execution cannot kill
-    the test run."""
+    the test run.  A ``log`` path in the config gets one line per
+    evaluation, from whichever process runs it; with one, the poison
+    lets its batch-mates ``x = 1, 2`` finish before it kills its
+    worker."""
 
     name = "test-requests-poison"
 
@@ -47,14 +51,33 @@ class _PoisonWorkload:
         return {"x": (1, 2, 13)}
 
     def evaluate(self, config, *, seed=0, impl=None):
+        if "log" in config:
+            with open(config["log"], "a") as log:
+                log.write(f"{config['x']}\n")
         if config.get("x") == 13:
             if os.getpid() != _MAIN_PID:
+                if "log" in config:
+                    _await_batch_mates(config["log"])
                 os._exit(29)
             raise RuntimeError("poison evaluated in the test process")
         return build_run_result(
             self.name, {"x": float(config["x"])},
             config=dict(config), seed=seed, impl=impl,
         )
+
+
+def _await_batch_mates(log, mates=("1", "2"), timeout_s=10.0):
+    """Wait until *log* shows every batch-mate evaluated, then a little
+    longer for their results to reach the coordinator: a worker crash
+    then takes no unfinished batch-mate with it, so any second
+    evaluation is the recovery's doing."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        with open(log) as fh:
+            if set(mates) <= set(fh.read().split()):
+                break
+        time.sleep(0.01)
+    time.sleep(0.2)
 
 
 class _FailsFirstWorkload:
@@ -97,15 +120,19 @@ def _graph(name, *configs):
     return graph
 
 
-def _serve_batch(*xs):
-    """Serve one batch of poison-workload requests on a 2-worker
-    process evaluator; results in request order."""
+def _serve_batch(*xs, **extra):
+    """Serve one batch of poison-workload requests (``x`` plus *extra*
+    config) on a 2-worker process evaluator; results in request
+    order."""
     engine = ParallelEvaluator(max_workers=2, mode="process")
     service = EvaluationService(
         parallel=engine, batch_size=8, batch_wait_s=0.001, start=False
     )
     try:
-        futures = [service.submit(_PoisonWorkload.name, {"x": x}) for x in xs]
+        futures = [
+            service.submit(_PoisonWorkload.name, {"x": x, **extra})
+            for x in xs
+        ]
         service.start()
         return [future.result(timeout=60) for future in futures]
     finally:
@@ -122,6 +149,15 @@ class TestPoisonRequests:
         assert ok_a.metrics == {"x": 1.0} and ok_b.metrics == {"x": 2.0}
         events = [e["event"] for e in get_ledger().events()]
         assert "batch.worker_crash" in events
+
+    def test_batch_mates_of_a_quarantined_request_run_once(self, tmp_path):
+        log = str(tmp_path / "evaluations.log")
+        ok_a, poison, ok_b = _serve_batch(1, 13, 2, log=log)
+        assert poison.error_type == "WorkerCrashError"
+        assert ok_a.metrics == {"x": 1.0} and ok_b.metrics == {"x": 2.0}
+        with open(log) as fh:
+            runs = fh.read().split()
+        assert runs.count("1") == 1 and runs.count("2") == 1
 
     def test_follower_of_quarantined_leader_gets_no_fresh_attempt(self):
         # The twin coalesces onto the poison's evaluation.  A fresh
