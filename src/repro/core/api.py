@@ -43,6 +43,7 @@ order, so serial, parallel and cache-warmed runs are bit-identical.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib
 import json
@@ -130,12 +131,29 @@ class RunResult:
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "RunResult":
+        """Rebuild a result from its :meth:`to_json` form.
+
+        The result owns its ``metrics``: a copy of *payload*'s, shallow
+        when every value is a plain JSON scalar and deep otherwise (the
+        rule of :meth:`to_json`), so a caller mutating a served result
+        cannot reach the record it was built from -- a cache entry
+        served without a copy, say.
+        """
         unknown = set(payload).difference(_FIELD_NAMES)
         if unknown:
             raise ValidationError(
                 f"unknown RunResult fields: {sorted(unknown)}"
             )
-        return cls(**dict(payload))
+        fields = dict(payload)
+        if "metrics" in fields:
+            metrics = fields["metrics"]
+            if type(metrics) is dict and all(
+                type(v) in PLAIN_SCALARS for v in metrics.values()
+            ):
+                fields["metrics"] = dict(metrics)
+            else:
+                fields["metrics"] = copy_tree(metrics)
+        return cls(**fields)
 
     def canonical_json(self) -> str:
         """Deterministic identity encoding of this evaluation.
@@ -168,6 +186,24 @@ _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(RunResult))
 #: JSON scalar types a deep copy may share instead of copying:
 #: immutable, and matched by exact type (a subclass may be neither).
 PLAIN_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def copy_tree(value: Any) -> Any:
+    """A deep copy of *value* that shares its plain scalars.
+
+    Result records and request configs are JSON trees, which a walk
+    over exact ``dict`` / ``list`` nodes copies several times faster
+    than ``copy.deepcopy`` and its memo; any other value (a tuple
+    holding an ndarray, say) is handed to ``copy.deepcopy``.
+    """
+    kind = type(value)
+    if kind in PLAIN_SCALARS:
+        return value
+    if kind is dict:
+        return {key: copy_tree(item) for key, item in value.items()}
+    if kind is list:
+        return [copy_tree(item) for item in value]
+    return copy.deepcopy(value)
 
 
 def build_run_result(

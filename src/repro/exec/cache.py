@@ -37,7 +37,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, FrozenSet, Optional, Union
 
-from repro.core.api import PLAIN_SCALARS
+from repro.core.api import copy_tree
 from repro.core.errors import ValidationError
 from repro.obs.metrics import get_metrics
 
@@ -127,24 +127,6 @@ def config_digest(obj: Any) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
-def _copy_record(value: Any) -> Any:
-    """A deep copy of *value* for :meth:`ResultCache.get`.
-
-    Cache records are JSON trees, which a walk over exact ``dict`` /
-    ``list`` nodes copies several times faster than ``copy.deepcopy``
-    and its memo; any other value (a tuple holding an ndarray, say) is
-    handed to ``copy.deepcopy``.
-    """
-    kind = type(value)
-    if kind in PLAIN_SCALARS:
-        return value
-    if kind is dict:
-        return {key: _copy_record(item) for key, item in value.items()}
-    if kind is list:
-        return [_copy_record(item) for item in value]
-    return copy.deepcopy(value)
-
-
 class ResultCache:
     """Content-addressed evaluation results with LRU bounds and stats.
 
@@ -221,34 +203,42 @@ class ResultCache:
     def get(self, key: str) -> Optional[Any]:
         """The cached value for *key*, or ``None`` on a miss.
 
-        Hits refresh the entry's LRU position.  Values are deep-copied
-        on the way out (see :func:`_copy_record`) so callers cannot
-        mutate the store.  When the metrics registry is enabled,
-        lookups are timed into the ``cache.get.hit`` /
-        ``cache.get.miss`` histograms.
+        A :meth:`lookup` whose value is deep-copied on the way out (see
+        :func:`~repro.core.api.copy_tree`), so callers cannot mutate
+        the store.
+        """
+        # Stored values are replaced, never mutated, so the copy needs
+        # no lock.
+        return copy_tree(self.lookup(key))
+
+    def lookup(self, key: str) -> Optional[Any]:
+        """The stored value for *key*, or ``None`` on a miss, counted
+        as a lookup but not copied: a read-only view the caller must
+        not mutate.
+
+        Hits refresh the entry's LRU position.  When the metrics
+        registry is enabled, lookups are timed into the
+        ``cache.get.hit`` / ``cache.get.miss`` histograms.
         """
         registry = get_metrics()
         if not registry.enabled:
-            return self._get(key)
+            return self._lookup(key)
         start = time.perf_counter()
-        value = self._get(key)
+        value = self._lookup(key)
         registry.observe(
             "cache.get.hit" if value is not None else "cache.get.miss",
             time.perf_counter() - start,
         )
         return value
 
-    def _get(self, key: str) -> Optional[Any]:
+    def _lookup(self, key: str) -> Optional[Any]:
         with self.lock:
             if key not in self._records:
                 self._misses += 1
                 return None
             self._records.move_to_end(key)
             self._hits += 1
-            value = self._records[key]
-        # Stored values are replaced, never mutated, so the copy needs
-        # no lock.
-        return _copy_record(value)
+            return self._records[key]
 
     def peek(self, key: str) -> Optional[Any]:
         """The stored value for *key* (or ``None``) without counting a

@@ -213,6 +213,14 @@ class _ShardSlot:
         self.progress_at = time.monotonic()
 
 
+def _probe(service: Any) -> bool:
+    """A shard's liveness for the failure detector: a process shard
+    checks its process once per sweep (:meth:`ProcessShard.probe`);
+    any other shard answers :attr:`alive`."""
+    probe = getattr(service, "probe", None)
+    return probe() if probe is not None else service.alive
+
+
 class Supervisor:
     """Failure detector and restarter for a :class:`ShardCluster`.
 
@@ -647,7 +655,7 @@ class ShardCluster:
         for slot in self._slots:
             if self._stopped:
                 break
-            if not slot.service.alive:
+            if not _probe(slot.service):
                 get_ledger().event(
                     "shard.down", shard=slot.index, cause="heartbeat"
                 )

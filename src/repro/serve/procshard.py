@@ -7,16 +7,19 @@ buy N cores.  :class:`ProcessShard` hosts each shard's service in its
 own worker process (``multiprocessing`` spawn context: no inherited
 locks from the threaded parent), talking to it over one duplex pipe
 (a ``multiprocessing`` ``Connection``).  Each side sends from the
-calling thread under its own send lock and reads with
-``poll(heartbeat_s)`` then ``recv()``:
+calling thread under its own send lock and reads with a
+``heartbeat_s``-bounded wait on one ``select.poll`` object, registered
+once per pipe end, then ``recv()``:
 
 - the parent keeps the shard-local future table, so the cluster's
   set-once exactly-once futures work unchanged across the process
   boundary;
 - every request crosses in one form, the ``EvalRequest`` wire dict
-  pickled by the pipe (ndarray configs included).  The parent-side
-  admission bound caps how many requests -- and so how many bytes a
-  blocked send can have waiting -- are in flight;
+  pickled by the pipe (ndarray configs included), next to the digest
+  the router already computed, which the child's rebuilt request
+  keeps instead of hashing again.  The parent-side admission bound
+  caps how many requests -- and so how many bytes a blocked send can
+  have waiting -- are in flight;
 - the child streams back ``done`` records (``RunResult`` wire form)
   and, when idle for ``heartbeat_s`` and at stop, one ``obs`` envelope
   of its drained spans, ledger events and metrics (pillars on at spawn
@@ -28,7 +31,11 @@ calling thread under its own send lock and reads with
   is released with ``reason="stopped"`` and rerouted by the cluster),
   the :class:`~repro.serve.cluster.Supervisor` restarts the slot with a
   fresh incarnation, and the cluster replays the stranded requests
-  onto survivors exactly as in the in-process design.
+  onto survivors exactly as in the in-process design.  ``alive`` reads
+  flags, so routing and admission make no ``waitpid`` call: the pump
+  sets the exit flag on EOF or when an idle poll finds the process
+  dead, and the supervisor's sweep probes each process once
+  (:meth:`ProcessShard.probe`).
 
 A shard starts with its serving path only: the ``repro`` packages
 export their names lazily and cache digests look for numpy types only
@@ -59,11 +66,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import select
 import threading
 import time
 from concurrent.futures import Future
 from functools import partial
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.api import RunResult
 from repro.core.errors import ValidationError
@@ -123,6 +131,20 @@ def _dumps(message: Tuple) -> bytes:
     return pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
 
 
+def _reader(conn: Any) -> Callable[[float], bool]:
+    """``conn.poll`` for one pipe end, its descriptor registered once.
+
+    ``Connection.poll`` builds and closes a selector on every call; a
+    loop that waits on one pipe for its whole life registers it with
+    one ``select.poll`` object instead.  EOF and a closed end read as
+    ready, so the ``recv`` that follows raises as it would after
+    ``poll``.
+    """
+    poller = select.poll()
+    poller.register(conn.fileno(), select.POLLIN)
+    return lambda timeout_s: bool(poller.poll(timeout_s * 1000.0))
+
+
 def _shard_worker_main(
     shard_id: int,
     incarnation: int,
@@ -136,16 +158,19 @@ def _shard_worker_main(
     """Worker-process entry point: host one shard's service, talking
     to the parent over the duplex pipe end *conn*.
 
-    Protocol (parent -> child): ``("submit", rid, request_json)`` --
-    plus a trailing trace wire context when the parent runs under
-    tracing -- ``("snapshot", token)``, ``("stop", drain)``.  Child ->
-    parent: ``("ready", pid)``, ``("done", rid, result_json)``,
-    ``("reject", rid, reason, message)``, ``("obs", envelope)``,
-    ``("snapshot", token, snapshot)``, ``("stopped", snapshot)``.
-    Every child message is prefixed with ``(kind, shard_id,
-    incarnation, ...)`` so the parent can attribute it even in logs.  The main loop and the
-    service's done-callbacks both send, under one lock.  The loop ends
-    on ``stop``, or when the parent's end of the pipe is gone.
+    Protocol (parent -> child): ``("submit", rid, request_json,
+    digest)`` -- plus a trailing trace wire context when the parent
+    runs under tracing -- ``("snapshot", token)``, ``("stop", drain)``.
+    *digest* is the request's content address, already computed by the
+    parent's router; the rebuilt request carries it, so the shard does
+    not hash the request again.  Child -> parent: ``("ready", pid)``,
+    ``("done", rid, result_json)``, ``("reject", rid, reason,
+    message)``, ``("obs", envelope)``, ``("snapshot", token,
+    snapshot)``, ``("stopped", snapshot)``.  Every child message is
+    prefixed with ``(kind, shard_id, incarnation, ...)`` so the parent
+    can attribute it even in logs.  The main loop and the service's
+    done-callbacks both send, under one lock.  The loop ends on
+    ``stop``, or when the parent's end of the pipe is gone.
     """
     from repro.serve.service import EvaluationService
 
@@ -193,10 +218,11 @@ def _shard_worker_main(
             return
         _send("done", rid, future.result().to_json())
 
+    ready = _reader(conn)
     _send("ready", os.getpid())
     while True:
         try:
-            if not conn.poll(heartbeat_s):
+            if not ready(heartbeat_s):
                 _flush()
                 continue
             message = conn.recv()
@@ -206,11 +232,11 @@ def _shard_worker_main(
             break
         kind = message[0]
         if kind == "submit":
-            rid, payload = message[1], message[2]
-            wire = message[3] if len(message) > 3 else None
+            rid, payload, digest = message[1:4]
+            wire = message[4] if len(message) > 4 else None
             try:
                 future = service.submit_request(
-                    EvalRequest.from_json(payload),
+                    EvalRequest._from_wire(payload, digest),
                     block=True,
                     trace_ctx=(
                         TraceContext.from_wire(wire)
@@ -272,6 +298,9 @@ class ProcessShard:
         self._finished = 0
         self._killed = False
         self._stopped = False
+        # Set once the worker is known to be gone (pump EOF, or a
+        # liveness probe): ``alive`` reads flags, not the process.
+        self._exited = False
         self._ready = threading.Event()
         self._last_snapshot: Dict[str, Any] = ServiceMetrics().snapshot()
         self._snapshot_waiters: Dict[int, Tuple[threading.Event, list]] = {}
@@ -311,12 +340,25 @@ class ProcessShard:
     @property
     def alive(self) -> bool:
         """Process liveness doubles as the heartbeat: a ``kill -9`` is
-        visible here within one supervisor sweep."""
-        return (
-            not self._stopped
-            and not self._killed
-            and self._process.is_alive()
-        )
+        visible here within one supervisor sweep.  Reads flags only, so
+        routing and admission make no ``waitpid`` call; the pump and
+        :meth:`probe` set the exit flag."""
+        return not (self._stopped or self._killed or self._exited)
+
+    def probe(self) -> bool:
+        """:attr:`alive`, after one ``waitpid`` on the worker: the
+        supervisor's once-per-sweep check, which sees a ``kill -9``
+        even while pool workers holding the pipe keep the pump from
+        reading EOF."""
+        if self.alive and not self._process.is_alive():
+            self._mark_exited()
+        return self.alive
+
+    def _mark_exited(self) -> None:
+        with self._lock:
+            self._exited = True
+            # A caller blocked on admission is released as "stopped".
+            self._space.notify_all()
 
     def wait_ready(self, timeout: Optional[float] = None) -> bool:
         """Block until the worker finished importing and reported ready
@@ -378,10 +420,9 @@ class ProcessShard:
             if trace_ctx is not None and tracer.enabled
             else None
         )
+        message = ("submit", rid, request.to_json(), request.digest)
         try:
-            self._send(("submit", rid, request.to_json()) + (
-                (wire,) if wire is not None else ()
-            ))
+            self._send(message + ((wire,) if wire is not None else ()))
         except Exception as exc:
             with self._lock:
                 self._futures.pop(rid, None)
@@ -406,12 +447,14 @@ class ProcessShard:
         ``parallel`` shard inherit the child's end of the pipe and
         keep it open for a while after the child is gone, so an idle
         poll also checks that the process still lives."""
+        ready = _reader(self._conn)
         while True:
             try:
-                if not self._conn.poll(self.heartbeat_s):
-                    if not self._process.is_alive() and (
-                        self._stopped or self._killed or self._ready.is_set()
-                    ):
+                if not ready(self.heartbeat_s):
+                    if self._process.is_alive():
+                        continue
+                    self._mark_exited()
+                    if self._stopped or self._killed or self._ready.is_set():
                         # Nothing more will come; a crash (not via
                         # kill()) leaves futures stranded for the
                         # cluster to replay.
@@ -421,6 +464,7 @@ class ProcessShard:
             except (EOFError, OSError):
                 break
             self._handle(message)
+        self._mark_exited()
         # Unblock anyone waiting for a synchronous snapshot.
         with self._lock:
             waiters = list(self._snapshot_waiters.values())

@@ -5,9 +5,10 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.core.api import request_digest
+from repro.core.api import copy_tree, request_digest
 from repro.core.errors import StateError, ValidationError
 
 #: Priority lanes, most urgent first.  Integer priorities are accepted
@@ -36,6 +37,14 @@ class EvalRequest:
     int (lower = more urgent); *timeout_s* bounds the evaluation
     wall-clock inside the worker (retries included) via
     :class:`~repro.resilience.Deadline`.
+
+    *config* is snapshotted at construction into a dict of its own
+    (plain scalars shared, nested values copied, as
+    :func:`~repro.core.api.copy_tree` does), so a caller that later
+    mutates its mapping changes neither this request nor its
+    :attr:`digest`, which is computed on first access and then kept.
+    The memo lives outside the dataclass fields: ``==``, ``repr`` and
+    :meth:`to_json` do not see it.
     """
 
     workload: str
@@ -68,6 +77,11 @@ class EvalRequest:
             raise ValidationError("priority must be a lane name or an int")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValidationError("timeout_s must be positive")
+        object.__setattr__(
+            self,
+            "config",
+            {key: copy_tree(value) for key, value in self.config.items()},
+        )
 
     @property
     def priority_rank(self) -> int:
@@ -75,11 +89,11 @@ class EvalRequest:
             return PRIORITY_LANES[self.priority]
         return int(self.priority)
 
-    @property
+    @cached_property
     def digest(self) -> str:
         """Content address: cache key, dedup key and result digest."""
         return request_digest(
-            self.workload, dict(self.config), self.seed, self.impl
+            self.workload, self.config, self.seed, self.impl
         )
 
     def to_json(self) -> Dict[str, Any]:
@@ -105,6 +119,16 @@ class EvalRequest:
                 f"unknown EvalRequest fields: {sorted(unknown)}"
             )
         return cls(**dict(payload))
+
+    @classmethod
+    def _from_wire(
+        cls, payload: Mapping[str, Any], digest: str
+    ) -> "EvalRequest":
+        """:meth:`from_json` with the digest its sender already
+        computed, so the receiving process does not hash it again."""
+        request = cls.from_json(payload)
+        request.__dict__["digest"] = digest
+        return request
 
 
 def load_requests(text: str) -> List[EvalRequest]:

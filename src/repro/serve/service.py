@@ -240,7 +240,9 @@ class EvaluationService:
         left for the batch's own lookup to count, so each request is
         counted once.  An error record is evicted -- the eviction a
         batch applies to any error it serves -- so the batch evaluates
-        the request afresh."""
+        the request afresh.  The record is the stored one, not a copy:
+        :meth:`_resolve` only reads it, and the ``RunResult`` built
+        from it owns its metrics."""
         cache = self._evaluator.cache
         if cache is None:
             return None
@@ -251,7 +253,7 @@ class EvaluationService:
             if not record_ok(record):
                 cache.delete(key)
                 return None
-            return cache.get(key)
+            return cache.lookup(key)
 
     def _open_trace(
         self,

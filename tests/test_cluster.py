@@ -556,11 +556,15 @@ class TestAdmissionHitsAcrossShards:
         with _cluster(cache=ResultCache()) as cluster:
             cluster.submit_request(request).result(timeout=30.0)
             monkeypatch.setattr(request_module, "request_digest", counting)
-            warm = cluster.submit_request(request).result(timeout=30.0)
+            fresh = EvalRequest(
+                workload=request.workload, config=dict(request.config),
+                seed=request.seed,
+            )
+            warm = cluster.submit_request(fresh).result(timeout=30.0)
             snapshot = cluster.snapshot()
         assert warm.ok
-        # Once in the router's entry, once at shard admission.
-        assert len(calls) == 2
+        # Once, in the router's entry; shard admission reuses it.
+        assert len(calls) == 1
         assert snapshot["evaluations"]["cache_hits"] == 1
 
     def test_process_cluster_warm_hits_match_direct(self, tmp_path):

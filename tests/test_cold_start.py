@@ -336,6 +336,7 @@ class TestHitServingShardImportsNoSubsystem:
             )
 
             cache, request = sys.argv[1], json.loads(sys.argv[2])
+            digest = sys.argv[4]
             spec = validate_process_spec({
                 "batch_size": 8, "batch_wait_s": 0.005, "max_queue": 16,
                 "cache": cache,
@@ -347,7 +348,7 @@ class TestHitServingShardImportsNoSubsystem:
             )
             worker.start()
             ready = parent.recv()
-            parent.send_bytes(_dumps(("submit", 1, request)))
+            parent.send_bytes(_dumps(("submit", 1, request, digest)))
             done = parent.recv()
             parent.send_bytes(_dumps(("stop", False)))
             stopped = parent.recv()
@@ -366,7 +367,7 @@ class TestHitServingShardImportsNoSubsystem:
                 ),
             }))
         """, cache, json.dumps(request.to_json()),
-            json.dumps(_NOT_ON_HIT_PATH))
+            json.dumps(_NOT_ON_HIT_PATH), request.digest)
         assert out["ready"] == "ready" and out["joined"]
         assert out["done"] == ["done", 0, 0, 1]
         served = RunResult.from_json(out["record"])

@@ -801,6 +801,11 @@ class TestAdmissionHits:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(request_module, "request_digest", counting)
+        # A fresh equal request: REQUEST itself was digested (and its
+        # digest kept) while warming the cache.
+        fresh = EvalRequest(
+            workload="hls", config=dict(CHEAP_CONFIGS["hls"])
+        )
         with _service(cache=cache) as service:
-            assert service.submit_request(self.REQUEST).done()
+            assert service.submit_request(fresh).done()
         assert len(calls) == 1
