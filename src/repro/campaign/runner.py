@@ -223,8 +223,6 @@ class GraphRunner:
             status = "error"
             raise
         finally:
-            if self.checkpoint is not None:
-                self.checkpoint.flush()
             if root is not None:
                 tracer.end_span(root, status=status)
             if self.observe:

@@ -1078,6 +1078,9 @@ def _campaign_main(argv: List[str]) -> int:
             table.add_row([node.name, node.kind, state])
         print(table.render())
         print(f"{completed}/{len(graph)} nodes checkpointed")
+        if store.recovered:
+            print(f"checkpoint recovered: {store.salvaged} intact "
+                  "record(s) salvaged from a damaged file")
         return 0
 
     from repro.campaign import GraphRunner

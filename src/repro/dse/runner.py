@@ -260,6 +260,4 @@ class DSERunner:
                 from repro.obs.ledger import get_ledger
 
                 get_ledger().event("checkpoint.saved", cell=key)
-        if checkpoint is not None:
-            checkpoint.flush()
         return scores

@@ -13,7 +13,8 @@ Entry points:
   ``concurrent.futures`` with per-task timeouts and worker-crash
   recovery;
 - :class:`ResultCache` / :func:`config_digest` -- SHA-256
-  content-addressed LRU result store with an atomic on-disk backing;
+  content-addressed LRU result store with an append-only on-disk
+  backing (:mod:`repro.exec.store`, shared with campaign checkpoints);
 - :func:`make_evaluator` / :func:`coerce_cache` -- adapters behind the
   ``parallel=`` / ``cache=`` kwargs of the high-level runners;
 - :mod:`repro.exec.requests` -- the one request-evaluation path (worker,

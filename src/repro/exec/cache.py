@@ -10,16 +10,16 @@ ordering, tuple-vs-list spelling or numpy scalar types, and a repeated
 sweep costs one dictionary lookup per cell instead of a simulation.
 
 The cache is an in-memory LRU (bounded by ``max_entries``) optionally
-backed by a single on-disk JSON store written atomically (temp file +
-``os.replace``, the :class:`~repro.resilience.checkpoint.CheckpointStore`
-pattern), so warm results survive across processes.  A corrupt or
-truncated store is *tolerated*: the cache starts empty and rebuilds
-rather than refusing to run, because a lost cache is a slowdown while a
-crashed campaign is a lost night.  Hit/miss/eviction counters are
-exposed via :meth:`ResultCache.stats` so benches can assert reuse
-instead of guessing at it.  One cache may be shared by threads (a
-service's submitters read it while its dispatcher writes it): every
-operation runs under the cache's re-entrant :attr:`ResultCache.lock`.
+backed by an append-only file (:class:`~repro.exec.store.RecordStore`,
+shared with campaign checkpoints), so warm results survive across
+processes.  A corrupt or truncated store is *tolerated*: the cache
+keeps its intact records and rebuilds the rest rather than refusing to
+run, because a lost cache is a slowdown while a crashed campaign is a
+lost night.  Hit/miss/eviction counters are exposed via
+:meth:`ResultCache.stats` so benches can assert reuse instead of
+guessing at it.  One cache may be shared by threads (a service's
+submitters read it while its dispatcher writes it): every operation
+runs under the cache's re-entrant :attr:`ResultCache.lock`.
 """
 
 from __future__ import annotations
@@ -29,16 +29,14 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
 import sys
-import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Dict, FrozenSet, Optional, Union
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Union
 
 from repro.core.api import copy_tree
 from repro.core.errors import ValidationError
+from repro.exec.store import RecordStore
 from repro.obs.metrics import get_metrics
 
 
@@ -127,78 +125,37 @@ def config_digest(obj: Any) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
-class ResultCache:
+class ResultCache(RecordStore):
     """Content-addressed evaluation results with LRU bounds and stats.
 
     Keys are digest strings (:func:`config_digest`); values must be
-    JSON-serializable so the disk store round-trips.  ``max_entries``
-    bounds the in-memory map (least-recently-used entries are evicted,
-    and dropped from the disk store at the next flush); ``None`` means
-    unbounded.  ``flush_every`` batches disk writes exactly like
-    :class:`~repro.resilience.checkpoint.CheckpointStore`.
-
-    Thread-safe: every operation holds :attr:`lock`, a re-entrant lock
-    a caller may also hold to make several calls one atomic step.
+    JSON-serializable when the cache has a ``path``, so the disk store
+    round-trips.  ``max_entries`` bounds the map (least-recently-used
+    entries are evicted, and an eviction is logged like a delete);
+    ``None`` means unbounded.  A reopened bounded cache keeps the most
+    recently written entries.  Thread-safe, as its store is.
     """
 
     def __init__(
         self,
         path: Optional[Union[str, Path]] = None,
         max_entries: Optional[int] = None,
-        flush_every: int = 1,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValidationError("max_entries must be >= 1")
-        if flush_every < 1:
-            raise ValidationError("flush_every must be >= 1")
-        self.path = Path(path) if path is not None else None
         self.max_entries = max_entries
-        self.flush_every = flush_every
-        self._dirty = 0
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._stores = 0
-        self._recovered = False
-        self.lock = threading.RLock()
-        self._records: "OrderedDict[str, Any]" = self._load()
+        self._hits = self._misses = self._evictions = self._stores = 0
+        super().__init__(path)
+        self._evict()
 
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        del state["lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self.lock = threading.RLock()
-
-    def _load(self) -> "OrderedDict[str, Any]":
-        if self.path is None or not self.path.exists():
-            return OrderedDict()
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                raise ValueError("cache store is not a JSON object")
-        except (json.JSONDecodeError, ValueError, OSError):
-            # A damaged cache is a performance loss, not a failure:
-            # start cold and rebuild.
-            self._recovered = True
-            return OrderedDict()
-        records: "OrderedDict[str, Any]" = OrderedDict(data)
-        while (
-            self.max_entries is not None
-            and len(records) > self.max_entries
-        ):
-            records.popitem(last=False)
-            self._evictions += 1
-        return records
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
-
-    def __len__(self) -> int:
-        return len(self._records)
+    def _evict(self) -> List[str]:
+        """Drop LRU entries beyond ``max_entries``; their keys."""
+        evicted = []
+        if self.max_entries is not None:
+            while len(self._records) > self.max_entries:
+                evicted.append(self._records.popitem(last=False)[0])
+        self._evictions += len(evicted)
+        return evicted
 
     def get(self, key: str) -> Optional[Any]:
         """The cached value for *key*, or ``None`` on a miss.
@@ -258,33 +215,22 @@ class ResultCache:
 
     def _put(self, key: str, value: Any) -> None:
         value = copy.deepcopy(value)
+        line = self._line(key, value)
         with self.lock:
-            self._records[key] = value
-            self._records.move_to_end(key)
+            self._apply(key, value)
             self._stores += 1
-            while (
-                self.max_entries is not None
-                and len(self._records) > self.max_entries
-            ):
-                self._records.popitem(last=False)
-                self._evictions += 1
-            if self.path is not None:
-                self._dirty += 1
-                if self._dirty >= self.flush_every:
-                    self.flush()
+            evicted = self._evict()
+            line += "".join(self._line(old, None) for old in evicted)
+            self._append(line, 1 + len(evicted))
 
     def delete(self, key: str) -> bool:
         """Drop *key* if present (used by :mod:`repro.serve` to keep
         failed evaluations out of the store).  Returns whether the key
-        existed; the disk store is rewritten at the next flush."""
+        existed."""
         with self.lock:
             if key not in self._records:
                 return False
-            del self._records[key]
-            if self.path is not None:
-                self._dirty += 1
-                if self._dirty >= self.flush_every:
-                    self.flush()
+            self._set(key, None)
             return True
 
     def get_or_compute(self, key: str, fn: Callable[[], Any]) -> Any:
@@ -308,42 +254,5 @@ class ResultCache:
                 "entries": len(self._records),
                 "hit_rate": self._hits / lookups if lookups else 0.0,
                 "persistent": self.path is not None,
-                "recovered_from_corruption": self._recovered,
+                "recovered_from_corruption": self.recovered,
             }
-
-    def flush(self) -> None:
-        """Atomically rewrite the disk store (no-op when memory-only).
-
-        The temp file is private to this process and thread, so two
-        writers of one path never replace each other's half-written
-        file."""
-        if self.path is None:
-            return
-        tmp = self.path.with_name(
-            f"{self.path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        with self.lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(dict(self._records), fh, sort_keys=True)
-            os.replace(tmp, self.path)
-            self._dirty = 0
-
-    def clear(self) -> None:
-        """Drop every entry (and the disk store, if any)."""
-        with self.lock:
-            self._records = OrderedDict()
-            self._dirty = 0
-            if self.path is not None and self.path.exists():
-                self.path.unlink()
-
-    def close(self) -> None:
-        with self.lock:
-            if self._dirty:
-                self.flush()
-
-    def __enter__(self) -> "ResultCache":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()

@@ -19,8 +19,8 @@ Entry points:
   :class:`~repro.campaign.GraphRunner` nodes;
 - :class:`Deadline` -- cycle/wall-clock budgets raising structured
   :class:`~repro.core.errors.SimulationTimeout`;
-- :class:`CheckpointStore` -- atomic JSON checkpoint/resume for
-  campaign and DSE sweeps, salvaging damaged stores on load;
+- :class:`CheckpointStore` -- append-only JSON-lines checkpoint/resume
+  for campaign and DSE sweeps, salvaging damaged stores on load;
 - :class:`CircuitBreaker` / :class:`CircuitOpenError` -- per-key
   closed/open/half-open load shedding for repeatedly failing work,
   with ledger/metrics-visible transitions;

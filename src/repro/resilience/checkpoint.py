@@ -4,125 +4,31 @@ A campaign or DSE run that takes hours must survive a crash at cell
 900/1000.  :class:`CheckpointStore` persists one JSON record per
 completed unit of work under a stable string key; on restart the sweep
 skips every key already present and recomputes only the remainder.
-Writes are atomic (temp file + ``os.replace``) so a crash mid-write
-never corrupts the store -- and should a checkpoint file still arrive
-truncated or damaged (a crash on an older filesystem, a partial copy),
-:meth:`CheckpointStore._load` *salvages* every complete record it can
-parse instead of refusing to start: a degraded resume recomputes a few
-cells, a crashed resume recomputes the whole campaign.  Recovery is
-recorded as a ``checkpoint.recovered`` run-ledger event so the loss is
-observable, not silent.
+Each save appends one line to a :class:`~repro.exec.store.RecordStore`
+file, and a torn or damaged file is *salvaged*, not refused: a
+degraded resume recomputes a few cells, a crashed one the whole
+campaign.  The loss is visible as :attr:`~CheckpointStore.recovered`,
+:attr:`~CheckpointStore.salvaged` and a ``checkpoint.recovered``
+run-ledger event.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import re
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Dict, Optional, Union
 
-from repro.core.errors import ValidationError
-
-#: Complete ``"key": {...}`` top-level entries inside a (possibly
-#: truncated) checkpoint JSON object -- the salvage pattern.
-_RECORD_RE = re.compile(r'"((?:[^"\\]|\\.)*)"\s*:\s*(\{)')
+from repro.exec.store import RecordStore
 
 
-def _salvage_records(text: str) -> Dict[str, Dict[str, Any]]:
-    """Every complete top-level ``"key": {...}`` record in *text*.
-
-    Walks the (broken) JSON object left to right with
-    ``raw_decode``, so a file truncated mid-record yields everything
-    written before the torn tail.  Nested objects are skipped by
-    resuming the scan after each decoded record.
-    """
-    records: Dict[str, Dict[str, Any]] = {}
-    decoder = json.JSONDecoder()
-    pos = text.find("{")
-    if pos < 0:
-        return records
-    pos += 1
-    while True:
-        match = _RECORD_RE.search(text, pos)
-        if match is None:
-            break
-        try:
-            key = json.loads(f'"{match.group(1)}"')
-            value, end = decoder.raw_decode(text, match.start(2))
-        except json.JSONDecodeError:
-            break
-        records[str(key)] = value
-        pos = end
-    return records
-
-
-class CheckpointStore:
-    """Keyed JSON records on disk, loaded eagerly and written atomically.
+class CheckpointStore(RecordStore):
+    """Keyed JSON records on disk, loaded eagerly, one line per save.
 
     Records must be JSON-serializable dictionaries; the store is a flat
-    ``{key: record}`` mapping.  ``flush_every`` batches disk writes for
-    high-frequency sweeps (the store always flushes on :meth:`close`
-    and context-manager exit).
+    ``{key: record}`` mapping.
     """
 
-    def __init__(
-        self, path: Union[str, Path], flush_every: int = 1
-    ) -> None:
-        if flush_every < 1:
-            raise ValidationError("flush_every must be >= 1")
-        self.path = Path(path)
-        self.flush_every = flush_every
-        self._dirty = 0
-        self.recovered = False
-        self.salvaged = 0
-        self._records: Dict[str, Dict[str, Any]] = self._load()
-
-    def _load(self) -> Dict[str, Dict[str, Any]]:
-        if not self.path.exists():
-            return {}
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            self._record_recovery({}, exc)
-            return {}
-        try:
-            data = json.loads(text)
-            if not isinstance(data, dict):
-                raise ValueError("checkpoint store is not a JSON object")
-        except (json.JSONDecodeError, ValueError) as exc:
-            # Crash consistency: a truncated or damaged store degrades
-            # to whatever complete records it still holds (the same
-            # tolerance ResultCache's on-disk store has) -- losing a
-            # few cells to recomputation beats refusing to resume.
-            records = _salvage_records(text)
-            self._record_recovery(records, exc)
-            return records
-        return data
-
-    def _record_recovery(
-        self, records: Dict[str, Dict[str, Any]], error: Exception
-    ) -> None:
-        from repro.obs.ledger import get_ledger
-
-        self.recovered = True
-        self.salvaged = len(records)
-        get_ledger().event(
-            "checkpoint.recovered",
-            path=str(self.path),
-            salvaged=len(records),
-            error_type=type(error).__name__,
-        )
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._records)
+    def __init__(self, path: Union[str, Path]) -> None:
+        super().__init__(path)
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         return self._records.get(key)
@@ -131,34 +37,5 @@ class CheckpointStore:
         return sorted(self._records)
 
     def save(self, key: str, record: Dict[str, Any]) -> None:
-        """Record *key* as completed; flushes per ``flush_every``."""
-        self._records[key] = record
-        self._dirty += 1
-        if self._dirty >= self.flush_every:
-            self.flush()
-
-    def flush(self) -> None:
-        """Atomically rewrite the store on disk."""
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._records, fh, indent=1, sort_keys=True)
-        os.replace(tmp, self.path)
-        self._dirty = 0
-
-    def clear(self) -> None:
-        """Drop all records and remove the file."""
-        self._records = {}
-        self._dirty = 0
-        if self.path.exists():
-            self.path.unlink()
-
-    def close(self) -> None:
-        if self._dirty:
-            self.flush()
-
-    def __enter__(self) -> "CheckpointStore":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+        """Record *key* as completed."""
+        self._set(key, record)

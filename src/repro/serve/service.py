@@ -395,7 +395,7 @@ class EvaluationService:
         ``drain=True`` (graceful) completes every queued request first;
         ``drain=False`` cancels queued requests (their futures raise
         :class:`AdmissionRejected`) and stops after the in-flight batch.
-        The evaluator's worker pool is joined and its cache flushed.
+        The evaluator's worker pool is joined and its cache closed.
         Idempotent.
         """
         with self._lock:

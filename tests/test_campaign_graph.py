@@ -781,6 +781,19 @@ class TestCampaignCLI:
         )
         resumed = json.loads((tmp_path / "report.json").read_text())
         assert resumed["counts"]["resumed"] == 2
+        assert "recovered" not in capsys.readouterr().out
+
+        # A checkpoint torn mid-record keeps its intact record, and
+        # status says what it salvaged.
+        text = (tmp_path / "ck.json").read_text()
+        (tmp_path / "ck.json").write_text(text[: text.rindex('"metrics"')])
+        assert (
+            main(["campaign", "status", spec, "--checkpoint", checkpoint])
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "1/3 nodes checkpointed" in out
+        assert "checkpoint recovered: 1 intact record(s) salvaged" in out
 
     def test_example_spec_is_loadable(self, tmp_path, capsys):
         from repro.cli import main

@@ -269,8 +269,6 @@ class TestResultCache:
     def test_validation(self):
         with pytest.raises(ValidationError):
             ResultCache(max_entries=0)
-        with pytest.raises(ValidationError):
-            ResultCache(flush_every=0)
 
     def test_threads_share_one_disk_backed_cache(self, tmp_path):
         path = tmp_path / "cache.json"

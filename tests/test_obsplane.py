@@ -27,7 +27,7 @@ from repro import obs
 from repro.core.api import example_config, get_workload
 from repro.core.errors import ValidationError
 from repro.core.jit import numba_available
-from repro.exec import ParallelEvaluator
+from repro.exec import ParallelEvaluator, ResultCache
 from repro.obs.critical import (
     PHASES,
     compare_reports,
@@ -340,8 +340,8 @@ class TestRegistryAcrossProcesses:
         assert _sparta_jit_fallbacks(parallel=2, cache=cache) == 4
         names = [span["name"] for span in get_tracer().spans()]
         assert names.count("worker") == 8
-        with open(cache, encoding="utf-8") as fh:
-            records = json.load(fh).values()
+        store = ResultCache(path=cache)
+        records = [store.peek(key) for key in store]
         assert all(
             record["__obs__"] and "metrics" not in record
             for record in records

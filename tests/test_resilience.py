@@ -230,13 +230,6 @@ class TestCheckpointStore:
         with open(path) as fh:
             assert json.load(fh) == {"k": {"x": 1.5}}
 
-    def test_flush_every_batches_writes(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        with CheckpointStore(path, flush_every=10) as store:
-            store.save("a", {})
-            assert not path.exists()  # batched, not yet flushed
-        assert path.exists()  # context exit flushes
-
     def test_clear(self, tmp_path):
         path = tmp_path / "ckpt.json"
         store = CheckpointStore(path)
