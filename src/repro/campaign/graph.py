@@ -168,6 +168,14 @@ def _spec_field(
         ) from exc
 
 
+def _spec_names(value: Any) -> Tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(name, str) for name in value
+    ):
+        raise TypeError("deps must be a list of node names")
+    return tuple(value)
+
+
 def _spec_config(value: Any) -> Dict[str, Any]:
     if not isinstance(value, Mapping):
         raise TypeError("config must be an object")
@@ -554,57 +562,60 @@ class CampaignGraph:
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "CampaignGraph":
+        if not isinstance(payload, Mapping):
+            raise ValidationError("a campaign spec must be a JSON object")
+        nodes = payload.get("nodes", ())
+        if not isinstance(nodes, (list, tuple)):
+            raise ValidationError("campaign spec 'nodes' must be a list")
         graph = cls(name=str(payload.get("name", "campaign")))
-        for index, entry in enumerate(payload.get("nodes", ())):
+        for index, entry in enumerate(nodes):
             if not isinstance(entry, Mapping):
                 raise ValidationError(
                     f"campaign node {index}: must be a JSON object"
                 )
-            kind = entry.get("kind", "eval")
-            gate = (
-                Gate.from_json(entry["gate"]) if "gate" in entry else None
-            )
-            if kind == "eval":
-                resilience = None
-                if "resilience" in entry:
-                    resilience = ResiliencePolicy.from_json(
-                        entry["resilience"]
-                    )
-                graph.add(
-                    EvalNode(
-                        name=_spec_field(entry, index, "name"),
-                        workload=_spec_field(entry, index, "workload"),
-                        config=_spec_field(
-                            entry, index, "config", _spec_config, {}
-                        ),
-                        seed=_spec_field(entry, index, "seed", int, 0),
-                        impl=entry.get("impl"),
-                        deps=tuple(entry.get("deps", ())),
-                        gate=gate,
-                        resilience=resilience,
-                        capture_errors=bool(
-                            entry.get("capture_errors", True)
-                        ),
-                    )
-                )
-            elif kind == "reduce":
-                graph.add(
-                    ReduceNode(
-                        name=_spec_field(entry, index, "name"),
-                        op=_spec_field(entry, index, "op"),
-                        params=dict(entry.get("params", {})),
-                        deps=tuple(entry.get("deps", ())),
-                        allow_failed_deps=bool(
-                            entry.get("allow_failed_deps", False)
-                        ),
-                        gate=gate,
-                    )
-                )
-            else:
+            try:
+                graph.add(_node_from_json(index, entry))
+            except ValidationError:
+                raise
+            except (
+                ArithmeticError, AttributeError, LookupError, TypeError,
+                ValueError,
+            ) as exc:
                 raise ValidationError(
-                    f"campaign node {index}: unknown kind {kind!r}"
-                )
+                    f"campaign node {index}: {exc!r}"
+                ) from exc
         return graph
+
+
+def _node_from_json(index: int, entry: Mapping[str, Any]) -> GraphNode:
+    """One eval or reduce node of a JSON campaign spec."""
+    kind = entry.get("kind", "eval")
+    gate = Gate.from_json(entry["gate"]) if "gate" in entry else None
+    if kind == "eval":
+        resilience = None
+        if "resilience" in entry:
+            resilience = ResiliencePolicy.from_json(entry["resilience"])
+        return EvalNode(
+            name=_spec_field(entry, index, "name"),
+            workload=_spec_field(entry, index, "workload"),
+            config=_spec_field(entry, index, "config", _spec_config, {}),
+            seed=_spec_field(entry, index, "seed", int, 0),
+            impl=entry.get("impl"),
+            deps=_spec_field(entry, index, "deps", _spec_names, ()),
+            gate=gate,
+            resilience=resilience,
+            capture_errors=bool(entry.get("capture_errors", True)),
+        )
+    if kind == "reduce":
+        return ReduceNode(
+            name=_spec_field(entry, index, "name"),
+            op=_spec_field(entry, index, "op"),
+            params=dict(entry.get("params", {})),
+            deps=_spec_field(entry, index, "deps", _spec_names, ()),
+            allow_failed_deps=bool(entry.get("allow_failed_deps", False)),
+            gate=gate,
+        )
+    raise ValidationError(f"campaign node {index}: unknown kind {kind!r}")
 
 
 def run_named_reduce(

@@ -1,59 +1,24 @@
-"""Command-line interface: regenerate paper artifacts from the shell.
+"""Command line: ``python -m repro <verb> [flags]``.
 
-``python -m repro <artifact>`` prints the regenerated table/series for
-one paper artifact without going through pytest -- the quick way to eyeball
-a result or pipe it into another tool.
-
-Artifacts: ``fig1``, ``fig2``, ``fig7``, ``table1``, ``taxonomy`` (alias
-of fig2), ``scf``, ``survey-csv``, plus ``faults`` -- a quick
-fault-injection resilience sweep (IMC stuck-at cells and hetero
-transient-storage faults) over the :mod:`repro.resilience` subsystem --
-and ``exec`` -- the parallel evaluation engine demo: an IMC crossbar
-campaign fanned out over the process pool with content-addressed result
-caching (``--workers``, ``--cells``, ``--cache-dir``, ``--no-cache``).
-
-``profile [demo]`` enables :mod:`repro.obs` tracing and metrics, runs one
-(or all) of the short kernel demos -- ``imc``, ``dna``, ``axc``,
-``sparta``, ``hls``, ``exec`` -- each under a root span named after it,
-and prints the span tree aggregated by name path followed by the
-metrics registry's histograms and counters.
-
-``serve`` runs the :mod:`repro.serve` micro-batched evaluation service:
-``--requests FILE`` serves a JSON array of requests one-shot; without it
-a synthetic load (``--workload``, ``--num-requests``, ``--rate``,
-``--batch-size``) exercises the service and prints the
-latency/throughput point, optionally writing the full metrics snapshot
-with ``--out``.  With ``--trace-dir DIR`` the run executes under
-:mod:`repro.obs` tracing and writes ``trace.jsonl``, ``ledger.jsonl``
-and a Chrome ``trace.chrome.json`` into DIR.
-
-``obs`` inspects such a directory: ``repro obs show <trace_id>``
-renders one request's span tree and ledger events, ``repro obs
-summary`` aggregates span durations per name, ``repro obs export
---format=chrome`` re-exports the spans as Chrome trace-event JSON.
-
-``campaign`` runs declarative campaign DAGs (:mod:`repro.campaign`)
-from a JSON or ``.py`` graph spec: ``repro campaign run spec.json
-[--workers N] [--cache PATH] [--checkpoint PATH] [--serve]
-[--trace-dir DIR]``, ``resume`` to continue against a checkpoint,
-``status`` to inspect progress, ``example`` to emit the worked
-composite spec (a DSE exploration feeding a hetero campaign feeding a
-Pareto reduction).
-
-``capacity`` answers the sizing question directly from the
-:mod:`repro.serve.capacity` model: given a measured per-shard
-throughput and service-time p99 (``--shard-rps`` / ``--shard-p99-ms``,
-or ``--from-report BENCH_scale.json``), print shards needed and cost
-per million requests at a target p99 over a load sweep.  ``repro serve
---capacity-report`` appends the same table to a live serving run.
+``repro --help`` lists the verbs and ``repro <verb> --help`` the flags
+that verb reads.  Exit status: 0 on success; 1 when the verb fails with
+a :class:`~repro.core.errors.ReproError` (one ``repro <verb>: error:``
+line on stderr, no traceback) or a campaign node fails; 2 for a usage
+error, and from ``repro obs slo`` when an objective is breached.  Any
+other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from types import SimpleNamespace
+from typing import Any, Callable, Iterator, List, Optional
 
+from repro.core.errors import ReproError, ValidationError
 from repro.core.tables import Table
 
 
@@ -208,7 +173,6 @@ def _cmd_faults() -> str:
 
 
 def _cmd_exec(args: "argparse.Namespace") -> str:
-    import os
     import time
 
     from repro.exec import ParallelEvaluator, ResultCache
@@ -264,8 +228,8 @@ def _cmd_exec(args: "argparse.Namespace") -> str:
     return table.render() + "\n" + footer
 
 
-#: File names inside a ``--trace-dir`` directory; shared by the serve
-#: exporter and the ``repro obs`` reader.
+#: File names inside a ``--trace-dir`` directory; shared by the
+#: trace session that writes them and the ``repro obs`` verbs.
 TRACE_FILE = "trace.jsonl"
 LEDGER_FILE = "ledger.jsonl"
 CHROME_FILE = "trace.chrome.json"
@@ -273,41 +237,88 @@ METRICS_FILE = "metrics.json"
 FLIGHT_FILE = "flight.jsonl"
 
 
-def _export_observability(trace_dir: str, recorder=None) -> str:
-    """Write the collected spans/events/Chrome trace plus the metrics
-    snapshot (and, when a flight *recorder* ran, its sample ring) into
-    *trace_dir*; returns a one-line footer describing what landed
-    where."""
-    import json
-    import os
+def _load_json(path: str) -> Any:
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
+
+def _read(what: str, path: str, load: Callable[[str], Any] = _load_json):
+    """``load(path)`` for every file the CLI reads: an unreadable or
+    malformed file becomes one :class:`ValidationError` naming *what*
+    and *path*."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {what} at {path}: {exc}") from exc
+
+
+def _emit(text: str, out: Optional[str]) -> int:
+    """Write *text* to the file *out* (and say so), else to stdout."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {out}")
+    else:
+        print(text, end="")
+    return 0
+
+
+@contextmanager
+def _trace_session(
+    trace_dir: Optional[str], *, flight: bool = False
+) -> Iterator[SimpleNamespace]:
+    """``--trace-dir``: run the body with spans, ledger and metrics
+    enabled and reset (plus a flight recorder, with *flight*).  On
+    success the files land in *trace_dir* and ``session.footer`` says
+    what was written; on every exit the recorder stops and the three
+    pillars are disabled again."""
+    session = SimpleNamespace(recorder=None, footer="")
+    if not trace_dir:
+        yield session
+        return
     from repro import obs
 
-    tracer = obs.get_tracer()
-    ledger = obs.get_ledger()
-    os.makedirs(trace_dir, exist_ok=True)
-    spans = tracer.export_jsonl(os.path.join(trace_dir, TRACE_FILE))
-    events = ledger.export_jsonl(os.path.join(trace_dir, LEDGER_FILE))
-    chrome_path = os.path.join(trace_dir, CHROME_FILE)
-    with open(chrome_path, "w", encoding="utf-8") as fh:
-        json.dump(tracer.to_chrome(), fh, indent=2, sort_keys=True)
-    with open(
-        os.path.join(trace_dir, METRICS_FILE), "w", encoding="utf-8"
-    ) as fh:
-        json.dump(
-            obs.get_metrics().snapshot(), fh, indent=2, sort_keys=True
+    obs.enable()
+    tracer, ledger = obs.get_tracer(), obs.get_ledger()
+    for store in (tracer, ledger, obs.get_metrics()):
+        store.reset()
+    recorder = None
+    try:
+        if flight:
+            from repro.obs.recorder import FlightRecorder
+
+            recorder = session.recorder = FlightRecorder()
+            recorder.watch_ledger()
+            recorder.start()
+        yield session
+        if recorder is not None:
+            recorder.stop()
+        os.makedirs(trace_dir, exist_ok=True)
+        spans = tracer.export_jsonl(os.path.join(trace_dir, TRACE_FILE))
+        events = ledger.export_jsonl(os.path.join(trace_dir, LEDGER_FILE))
+        chrome_path = os.path.join(trace_dir, CHROME_FILE)
+        with open(chrome_path, "w", encoding="utf-8") as fh:
+            json.dump(tracer.to_chrome(), fh, indent=2, sort_keys=True)
+        with open(
+            os.path.join(trace_dir, METRICS_FILE), "w", encoding="utf-8"
+        ) as fh:
+            json.dump(
+                obs.get_metrics().snapshot(), fh, indent=2, sort_keys=True
+            )
+        session.footer = (
+            f"\ntrace: {spans} spans / {events} events -> {trace_dir} "
+            f"(chrome: {chrome_path}; inspect with 'repro obs summary "
+            f"--trace-dir {trace_dir}')"
         )
-    footer = (
-        f"trace: {spans} spans / {events} events -> {trace_dir} "
-        f"(chrome: {chrome_path}; inspect with 'repro obs summary "
-        f"--trace-dir {trace_dir}')"
-    )
-    if recorder is not None:
-        samples = recorder.export_jsonl(
-            os.path.join(trace_dir, FLIGHT_FILE)
-        )
-        footer += f"; flight recorder: {samples} samples/dumps"
-    return footer
+        if recorder is not None:
+            samples = recorder.export_jsonl(
+                os.path.join(trace_dir, FLIGHT_FILE)
+            )
+            session.footer += f"; flight recorder: {samples} samples/dumps"
+    finally:
+        if recorder is not None:
+            recorder.stop()
+        obs.disable()
 
 
 def _capacity_table(report: dict, title: str) -> str:
@@ -355,26 +366,15 @@ def _cost_model(args: "argparse.Namespace"):
     )
 
 
-def _cmd_capacity(args: "argparse.Namespace") -> str:
-    """``repro capacity``: answer "how many shards and at what cost"
-    from measured numbers -- either ``--shard-rps``/``--shard-p99-ms``
-    or a ``BENCH_scale.json`` produced by ``benchmarks/bench_scale.py``
-    (``--from-report``)."""
-    import json
+def _load_capacity_model(path: str):
+    """The :class:`~repro.serve.CapacityModel` stored in a
+    ``BENCH_scale.json`` (or any JSON with a capacity block)."""
+    from repro.serve import CapacityModel
 
-    from repro.core.errors import ValidationError
-    from repro.serve import CapacityModel, capacity_report
-
-    if args.from_report:
-        with open(args.from_report, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-        block = report.get("capacity") or report
-        model_json = block.get("model")
-        if not model_json:
-            raise ValidationError(
-                f"{args.from_report} has no capacity model block"
-            )
-        model = CapacityModel(
+    report = _load_json(path)
+    try:
+        model_json = (report.get("capacity") or report)["model"]
+        return CapacityModel(
             model_json["per_shard_rps"],
             model_json["service_p99_s"],
             efficiency={
@@ -382,6 +382,23 @@ def _cmd_capacity(args: "argparse.Namespace") -> str:
                 for k, v in (model_json.get("efficiency") or {}).items()
             },
             max_utilization=model_json.get("max_utilization", 0.95),
+        )
+    except (AttributeError, LookupError, TypeError) as exc:
+        raise ValidationError(
+            f"no usable capacity model block ({exc!r})"
+        ) from exc
+
+
+def _cmd_capacity(args: "argparse.Namespace") -> str:
+    """``repro capacity``: answer "how many shards and at what cost"
+    from measured numbers -- either ``--shard-rps``/``--shard-p99-ms``
+    or a ``BENCH_scale.json`` produced by ``benchmarks/bench_scale.py``
+    (``--from-report``)."""
+    from repro.serve import CapacityModel, capacity_report
+
+    if args.from_report:
+        model = _read(
+            "capacity report", args.from_report, _load_capacity_model
         )
         source = args.from_report
     else:
@@ -392,12 +409,9 @@ def _cmd_capacity(args: "argparse.Namespace") -> str:
             )
         model = CapacityModel(args.shard_rps, args.shard_p99_ms / 1000.0)
         source = "command line"
-    if args.offered_rps:
-        loads = [float(part) for part in args.offered_rps.split(",")]
-    else:
-        loads = [
-            model.per_shard_rps * mult for mult in (0.5, 1, 2, 4, 8)
-        ]
+    loads = args.offered_rps or [
+        model.per_shard_rps * mult for mult in (0.5, 1, 2, 4, 8)
+    ]
     target = (args.target_p99_ms or 250.0) / 1000.0
     block = capacity_report(
         model,
@@ -443,8 +457,20 @@ def _serve_capacity_report(
     )
 
 
+def _serve_cache(args: "argparse.Namespace") -> Optional[str]:
+    """The result-cache file ``serve`` and ``chaos`` keep under
+    ``--cache-dir`` (None without one)."""
+    return args.cache_dir and os.path.join(args.cache_dir, "serve-cache.json")
+
+
 def _cmd_serve(args: "argparse.Namespace") -> str:
-    import json
+    with _trace_session(args.trace_dir, flight=True) as session:
+        body = _serve(args, session.recorder)
+    return body + session.footer
+
+
+def _serve(args: "argparse.Namespace", recorder) -> str:
+    from pathlib import Path
 
     from repro.core.api import get_workload, workload_names
     from repro.serve import (
@@ -455,28 +481,19 @@ def _cmd_serve(args: "argparse.Namespace") -> str:
         EvaluationService,
     )
 
-    recorder = None
-    if args.trace_dir:
-        from repro import obs
-        from repro.obs.recorder import FlightRecorder
-
-        obs.enable()
-        obs.get_tracer().reset()
-        obs.get_ledger().reset()
-        obs.get_metrics().reset()
-        recorder = FlightRecorder()
-        recorder.watch_ledger()
-        recorder.start()
-
     batch_size = args.batch_size
+    cache = _serve_cache(args)
     if args.requests:
-        with open(args.requests, "r", encoding="utf-8") as fh:
-            requests = load_requests(fh.read())
+        requests = _read(
+            "request file",
+            args.requests,
+            lambda path: load_requests(Path(path).read_text("utf-8")),
+        )
         results, snapshot = serve_requests(
             requests,
             batch_size=batch_size,
             parallel=args.workers,
-            cache=args.cache_dir and f"{args.cache_dir}/serve-cache.json",
+            cache=cache,
         )
         measured = (
             float(snapshot.get("throughput_rps") or 0.0),
@@ -519,7 +536,7 @@ def _cmd_serve(args: "argparse.Namespace") -> str:
                 batch_size=batch_size,
                 max_queue=max(1, len(requests)),
                 parallel=args.workers,
-                cache=args.cache_dir and f"{args.cache_dir}/serve-cache.json",
+                cache=cache,
             )
             service.wait_ready()
         else:
@@ -527,11 +544,10 @@ def _cmd_serve(args: "argparse.Namespace") -> str:
                 batch_size=batch_size,
                 max_queue=max(1, len(requests)),
                 parallel=args.workers,
-                cache=args.cache_dir and f"{args.cache_dir}/serve-cache.json",
+                cache=cache,
             )
-        if recorder is not None:
-            if hasattr(service, "gauges"):
-                recorder.add_source("serve", service.gauges)
+        if recorder is not None and hasattr(service, "gauges"):
+            recorder.add_source("serve", service.gauges)
         try:
             point = run_load(service, requests, rate_rps=args.rate)
             snapshot = service.snapshot()
@@ -594,13 +610,6 @@ def _cmd_serve(args: "argparse.Namespace") -> str:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(snapshot, fh, indent=2, sort_keys=True)
         body += f"\nmetrics snapshot written to {args.out}"
-    if args.trace_dir:
-        from repro import obs
-
-        if recorder is not None:
-            recorder.stop()
-        body += "\n" + _export_observability(args.trace_dir, recorder)
-        obs.disable()
     return body
 
 
@@ -608,8 +617,6 @@ def _cmd_chaos(args: "argparse.Namespace") -> str:
     """``repro chaos``: one seeded chaos campaign against a shard
     cluster -- shard kills, delays and bursts injected at deterministic
     request indices, exactly-once completion asserted in the footer."""
-    import json
-
     from repro.core.api import get_workload
     from repro.resilience import ChaosPolicy
     from repro.serve import generate_requests, run_chaos_campaign
@@ -632,7 +639,7 @@ def _cmd_chaos(args: "argparse.Namespace") -> str:
         num_shards=shards,
         batch_size=args.batch_size,
         parallel=args.workers,
-        cache=args.cache_dir and f"{args.cache_dir}/serve-cache.json",
+        cache=_serve_cache(args),
     )
     table = Table(
         ["requests", "shards", "kills", "lost", "duplicated", "errors",
@@ -681,264 +688,141 @@ DEFAULT_SLO_SPECS = (
 )
 
 
-def _load_obs_file(loader, path: str, what: str):
-    """Satellite guard: a corrupt or unreadable observability artifact
-    becomes a one-line error + nonzero exit, not a traceback."""
-    try:
-        return loader(path)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read {what} at {path}: {exc}", file=sys.stderr)
+def _obs_file(trace_dir: str, name: str, what: str, load, *,
+              optional: bool = False):
+    """Read artifact *name* of a ``--trace-dir`` directory; a missing
+    one is None when *optional*, else an error saying how to record
+    it."""
+    path = os.path.join(trace_dir, name)
+    if os.path.exists(path):
+        return _read(what, path, load)
+    if optional:
         return None
-
-
-def _obs_main(argv: List[str]) -> int:
-    """The ``repro obs`` subcommand family (its own parser: the obs
-    verbs take a trace directory, not a paper artifact)."""
-    import json
-    import os
-
-    from repro.obs import (
-        chrome_trace,
-        critical_path_report,
-        compare_reports,
-        load_flight_jsonl,
-        load_ledger_jsonl,
-        load_trace_jsonl,
-        prometheus_text,
-        render_summary,
-        render_top,
-        render_trace,
-        select_trace,
+    raise ValidationError(
+        f"no {what} at {path}; record one with "
+        f"'repro serve --trace-dir {trace_dir}'"
     )
+
+
+def _obs_spans(trace_dir: str, what: str = "trace") -> List[dict]:
+    from repro.obs import load_trace_jsonl
+
+    return _obs_file(trace_dir, TRACE_FILE, what, load_trace_jsonl)
+
+
+def _obs_events(trace_dir: str) -> List[dict]:
+    from repro.obs import load_ledger_jsonl
+
+    return _obs_file(
+        trace_dir, LEDGER_FILE, "ledger", load_ledger_jsonl, optional=True
+    ) or []
+
+
+def _obs_flight(trace_dir: str, *, optional: bool = False):
+    from repro.obs import load_flight_jsonl
+
+    return _obs_file(
+        trace_dir, FLIGHT_FILE, "flight recording", load_flight_jsonl,
+        optional=optional,
+    )
+
+
+def _obs_show(args: "argparse.Namespace") -> str:
+    from repro.obs import render_trace, select_trace
+
+    spans = _obs_spans(args.trace_dir)
+    selected = select_trace(spans, args.trace_id)
+    if not selected:
+        known = sorted({s["trace_id"] for s in spans})
+        raise ValidationError(
+            f"trace {args.trace_id!r} not found "
+            f"(known: {', '.join(known) or 'none'})"
+        )
+    tid = selected[0]["trace_id"]
+    events = _obs_events(args.trace_dir)
+    return f"trace {tid}\n" + render_trace(
+        selected, [e for e in events if e.get("trace_id") == tid]
+    )
+
+
+def _obs_summary(args: "argparse.Namespace") -> str:
+    from repro.obs import render_summary
+
+    return render_summary(
+        _obs_spans(args.trace_dir), _obs_events(args.trace_dir)
+    )
+
+
+def _obs_top(args: "argparse.Namespace") -> str:
+    from repro.obs import critical_path_report, render_top
+
+    report = critical_path_report(_obs_spans(args.trace_dir), top=args.top)
+    flight = _obs_flight(args.trace_dir, optional=True)
+    return render_top(report, flight["samples"] if flight else [])
+
+
+def _obs_critical_path(args: "argparse.Namespace") -> str:
+    from repro.obs import compare_reports, critical_path_report
+
+    report = critical_path_report(_obs_spans(args.trace_dir), top=args.top)
+    if args.baseline:
+        baseline = critical_path_report(
+            _obs_spans(args.baseline, "baseline trace"), top=args.top
+        )
+        report = dict(report, vs_baseline=compare_reports(baseline, report))
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+def _obs_export(args: "argparse.Namespace") -> int:
+    from repro.obs import chrome_trace, prometheus_text
+
+    if args.format == "prom":
+        snapshot = _obs_file(
+            args.trace_dir, METRICS_FILE, "metrics snapshot", _load_json
+        )
+        return _emit(prometheus_text(snapshot), args.out)
+    spans = _obs_spans(args.trace_dir)
+    if args.format == "chrome":
+        payload = json.dumps(chrome_trace(spans), indent=2, sort_keys=True)
+    else:
+        payload = "\n".join(json.dumps(s, sort_keys=True) for s in spans)
+    return _emit(payload + "\n", args.out)
+
+
+def _obs_slo(args: "argparse.Namespace") -> int:
     from repro.obs.slo import SLOSpec, evaluate_slos
 
-    parser = argparse.ArgumentParser(
-        prog="repro obs",
-        description="Inspect traces recorded by 'repro serve "
-        "--trace-dir' (or any repro.obs export).",
+    flight = _obs_flight(args.trace_dir)
+    spec_dicts = (
+        _read("SLO spec file", args.spec) if args.spec
+        else DEFAULT_SLO_SPECS
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    show = sub.add_parser(
-        "show", help="render one trace's span tree and ledger events"
+    if not isinstance(spec_dicts, (list, tuple)):
+        raise ValidationError("an SLO spec file holds a JSON list")
+    statuses = evaluate_slos(
+        [SLOSpec.from_json(d) for d in spec_dicts], flight["samples"]
     )
-    show.add_argument("trace_id", help="trace id (unique prefix accepted)")
-    summary = sub.add_parser(
-        "summary", help="aggregate span durations across all traces"
+    breached = False
+    print(
+        f"{'slo':<16} {'objective':<14} {'target':>10} "
+        f"{'state':<9} burn/window"
     )
-    export = sub.add_parser(
-        "export", help="re-export collected spans"
-    )
-    export.add_argument(
-        "--format", choices=("chrome", "jsonl", "prom"),
-        default="chrome",
-        help="chrome/jsonl re-export the spans; prom renders the "
-        "exported metrics snapshot as Prometheus text exposition",
-    )
-    export.add_argument(
-        "--out", default=None,
-        help="output file (default: stdout)",
-    )
-    top = sub.add_parser(
-        "top",
-        help="slowest requests with their critical-path phase split",
-    )
-    top.add_argument(
-        "--top", type=int, default=10, help="how many requests to list"
-    )
-    slo = sub.add_parser(
-        "slo",
-        help="evaluate SLO burn rates over the flight-recorder samples",
-    )
-    slo.add_argument(
-        "--spec", default=None,
-        help="JSON file with a list of SLO spec objects "
-        "(default: built-in latency/error/availability objectives)",
-    )
-    critical = sub.add_parser(
-        "critical-path",
-        help="aggregate critical-path phase report "
-        "(optionally vs a baseline trace dir)",
-    )
-    critical.add_argument(
-        "--top", type=int, default=10, help="how many requests to list"
-    )
-    critical.add_argument(
-        "--baseline", default=None,
-        help="another trace dir to attribute a regression against",
-    )
-    for verb in (show, summary, export, top, slo, critical):
-        verb.add_argument(
-            "--trace-dir", default="obs",
-            help="directory written by 'repro serve --trace-dir' "
-            "(default: ./obs)",
+    for status in statuses:
+        burns = "  ".join(
+            f"{window:g}s={result['burn']:.2f}x"
+            for window, result in sorted(status["windows"].items())
         )
-    args = parser.parse_args(argv)
-
-    if args.verb == "export" and args.format == "prom":
-        metrics_path = os.path.join(args.trace_dir, METRICS_FILE)
-        if not os.path.exists(metrics_path):
-            print(
-                f"no metrics snapshot at {metrics_path}; record one "
-                f"with 'repro serve --trace-dir {args.trace_dir}'",
-                file=sys.stderr,
-            )
-            return 1
-
-        def _load_metrics(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-
-        snapshot = _load_obs_file(
-            _load_metrics, metrics_path, "metrics snapshot"
-        )
-        if snapshot is None:
-            return 1
-        payload = prometheus_text(snapshot)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            print(f"wrote {args.out}")
-        else:
-            print(payload, end="")
-        return 0
-
-    if args.verb == "slo":
-        flight_path = os.path.join(args.trace_dir, FLIGHT_FILE)
-        if not os.path.exists(flight_path):
-            print(
-                f"no flight recording at {flight_path}; record one "
-                f"with 'repro serve --trace-dir {args.trace_dir}'",
-                file=sys.stderr,
-            )
-            return 1
-        flight = _load_obs_file(
-            load_flight_jsonl, flight_path, "flight recording"
-        )
-        if flight is None:
-            return 1
-        spec_dicts = DEFAULT_SLO_SPECS
-        if args.spec:
-            def _load_specs(path):
-                with open(path, "r", encoding="utf-8") as fh:
-                    return json.load(fh)
-
-            spec_dicts = _load_obs_file(
-                _load_specs, args.spec, "SLO spec file"
-            )
-            if spec_dicts is None:
-                return 1
-        specs = [SLOSpec.from_json(d) for d in spec_dicts]
-        statuses = evaluate_slos(specs, flight["samples"])
-        breached = False
         print(
-            f"{'slo':<16} {'objective':<14} {'target':>10} "
-            f"{'state':<9} burn/window"
+            f"{status['name']:<16} {status['objective']:<14} "
+            f"{status['target']:>10g} {status['state']:<9} {burns}"
         )
-        for status in statuses:
-            burns = "  ".join(
-                f"{window:g}s={result['burn']:.2f}x"
-                for window, result in sorted(status["windows"].items())
-            )
-            print(
-                f"{status['name']:<16} {status['objective']:<14} "
-                f"{status['target']:>10g} {status['state']:<9} {burns}"
-            )
-            breached = breached or status["state"] == "breached"
-        dumps = flight.get("dumps", [])
-        print(
-            f"samples: {len(flight['samples'])}   "
-            f"flight dumps: {len(dumps)}"
-        )
-        return 2 if breached else 0
-
-    trace_path = os.path.join(args.trace_dir, TRACE_FILE)
-    if not os.path.exists(trace_path):
-        print(
-            f"no trace at {trace_path}; record one with "
-            f"'repro serve --trace-dir {args.trace_dir}'",
-            file=sys.stderr,
-        )
-        return 1
-    spans = _load_obs_file(load_trace_jsonl, trace_path, "trace")
-    if spans is None:
-        return 1
-    ledger_path = os.path.join(args.trace_dir, LEDGER_FILE)
-    events = []
-    if os.path.exists(ledger_path):
-        events = _load_obs_file(
-            load_ledger_jsonl, ledger_path, "ledger"
-        )
-        if events is None:
-            return 1
-
-    if args.verb == "show":
-        selected = select_trace(spans, args.trace_id)
-        if not selected:
-            known = sorted({s["trace_id"] for s in spans})
-            print(
-                f"trace {args.trace_id!r} not found "
-                f"(known: {', '.join(known) or 'none'})",
-                file=sys.stderr,
-            )
-            return 1
-        tid = selected[0]["trace_id"]
-        print(f"trace {tid}")
-        print(
-            render_trace(
-                selected,
-                [e for e in events if e.get("trace_id") == tid],
-            )
-        )
-    elif args.verb == "summary":
-        print(render_summary(spans, events))
-    elif args.verb == "top":
-        report = critical_path_report(spans, top=args.top)
-        samples = []
-        flight_path = os.path.join(args.trace_dir, FLIGHT_FILE)
-        if os.path.exists(flight_path):
-            flight = _load_obs_file(
-                load_flight_jsonl, flight_path, "flight recording"
-            )
-            if flight is None:
-                return 1
-            samples = flight["samples"]
-        print(render_top(report, samples))
-    elif args.verb == "critical-path":
-        report = critical_path_report(spans, top=args.top)
-        if args.baseline:
-            base_path = os.path.join(args.baseline, TRACE_FILE)
-            if not os.path.exists(base_path):
-                print(
-                    f"no baseline trace at {base_path}",
-                    file=sys.stderr,
-                )
-                return 1
-            base_spans = _load_obs_file(
-                load_trace_jsonl, base_path, "baseline trace"
-            )
-            if base_spans is None:
-                return 1
-            baseline = critical_path_report(base_spans, top=args.top)
-            report = dict(report)
-            report["vs_baseline"] = compare_reports(baseline, report)
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        if args.format == "chrome":
-            payload = json.dumps(
-                chrome_trace(spans), indent=2, sort_keys=True
-            )
-        else:
-            payload = "\n".join(
-                json.dumps(s, sort_keys=True) for s in spans
-            )
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-            print(f"wrote {args.out}")
-        else:
-            print(payload)
-    return 0
+        breached = breached or status["state"] == "breached"
+    dumps = flight.get("dumps", [])
+    print(
+        f"samples: {len(flight['samples'])}   "
+        f"flight dumps: {len(dumps)}"
+    )
+    return 2 if breached else 0
 
 
 def _load_campaign_graph(path: str):
@@ -946,11 +830,9 @@ def _load_campaign_graph(path: str):
     :meth:`~repro.campaign.CampaignGraph.from_json`, ``.py`` files by
     executing them and taking their ``GRAPH`` object (or calling their
     ``build()``)."""
-    import json
     import runpy
 
     from repro.campaign import CampaignGraph
-    from repro.core.errors import ValidationError
 
     if path.endswith(".py"):
         namespace = runpy.run_path(path)
@@ -963,170 +845,91 @@ def _load_campaign_graph(path: str):
                 "return one from build()"
             )
         return graph
-    with open(path, "r", encoding="utf-8") as fh:
-        return CampaignGraph.from_json(json.load(fh))
+    return CampaignGraph.from_json(_read("campaign spec", path))
 
 
-def _campaign_main(argv: List[str]) -> int:
-    """The ``repro campaign`` subcommand family: run/resume a declarative
-    campaign graph spec, inspect a checkpoint's progress, or emit the
-    worked composite example (DSE -> hetero -> Pareto)."""
-    import json
+def _campaign_example(args: "argparse.Namespace") -> int:
+    from repro.campaign import composite_campaign_graph
 
-    parser = argparse.ArgumentParser(
-        prog="repro campaign",
-        description="Run declarative campaign DAGs (repro.campaign) "
-        "from a JSON or .py graph spec.",
+    payload = json.dumps(
+        composite_campaign_graph().to_json(), indent=2, sort_keys=True
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
+    return _emit(payload + "\n", args.out)
 
-    run = sub.add_parser("run", help="execute a campaign graph spec")
-    resume = sub.add_parser(
-        "resume",
-        help="re-execute a spec against its checkpoint (completed "
-        "nodes are restored, not re-run)",
-    )
-    status = sub.add_parser(
-        "status", help="show a spec's progress against a checkpoint"
-    )
-    example = sub.add_parser(
-        "example",
-        help="print the composite example graph (DSE -> hetero -> "
-        "Pareto) as a runnable JSON spec",
-    )
-    for verb in (run, resume, status):
-        verb.add_argument("spec", help="campaign graph spec (.json or .py)")
-    for verb in (run, resume):
-        verb.add_argument(
-            "--workers", type=int, default=None,
-            help="evaluate each layer over a process pool this wide "
-            "(default: serial)",
-        )
-        verb.add_argument(
-            "--cache", default=None,
-            help="path for the content-addressed result cache",
-        )
-        verb.add_argument(
-            "--serve", action="store_true",
-            help="route evaluations through a live EvaluationService "
-            "(admission control, micro-batching, dedup)",
-        )
-        verb.add_argument(
-            "--batch-size", type=int, default=8,
-            help="--serve: micro-batch size",
-        )
-        verb.add_argument(
-            "--trace-dir", default=None,
-            help="record the run under repro.obs tracing and write "
-            "trace.jsonl / ledger.jsonl / trace.chrome.json here",
-        )
-        verb.add_argument(
-            "--out", default=None,
-            help="write the campaign run report JSON here",
-        )
-    run.add_argument(
-        "--checkpoint", default=None,
-        help="JSON checkpoint store for node results (enables resume)",
-    )
-    resume.add_argument(
-        "--checkpoint", required=True,
-        help="JSON checkpoint store written by a previous run",
-    )
-    status.add_argument("--checkpoint", required=True)
-    example.add_argument(
-        "--out", default=None,
-        help="write the example spec here (default: stdout)",
-    )
-    args = parser.parse_args(argv)
 
-    if args.verb == "example":
-        from repro.campaign import composite_campaign_graph
-
-        payload = json.dumps(
-            composite_campaign_graph().to_json(), indent=2, sort_keys=True
-        )
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-            print(f"wrote {args.out}")
-        else:
-            print(payload)
-        return 0
+def _campaign_status(args: "argparse.Namespace") -> str:
+    from repro.resilience import CheckpointStore
 
     graph = _load_campaign_graph(args.spec)
-
-    if args.verb == "status":
-        from repro.resilience import CheckpointStore
-
-        store = CheckpointStore(args.checkpoint)
-        done = set(store.completed_keys())
-        table = Table(
-            ["node", "kind", "state"],
-            title=f"repro campaign status -- {graph.name} "
-            f"({len(done)} checkpointed record(s))",
+    store = CheckpointStore(args.checkpoint)
+    done = set(store.completed_keys())
+    table = Table(
+        ["node", "kind", "state"],
+        title=f"repro campaign status -- {graph.name} "
+        f"({len(done)} checkpointed record(s))",
+    )
+    completed = 0
+    for node in graph.nodes:
+        key = getattr(node, "key", None) or node.name
+        checkpointed = key in done or any(
+            k.startswith(f"{node.name}|") for k in done
         )
-        completed = 0
-        for node in graph.nodes:
-            key = getattr(node, "key", None) or node.name
-            checkpointed = key in done or any(
-                k.startswith(f"{node.name}|") for k in done
-            )
-            state = "done" if checkpointed else (
-                "recomputed" if node.kind == "reduce" else "pending"
-            )
-            completed += int(checkpointed)
-            table.add_row([node.name, node.kind, state])
-        print(table.render())
-        print(f"{completed}/{len(graph)} nodes checkpointed")
-        if store.recovered:
-            print(f"checkpoint recovered: {store.salvaged} intact "
-                  "record(s) salvaged from a damaged file")
-        return 0
+        state = "done" if checkpointed else (
+            "recomputed" if node.kind == "reduce" else "pending"
+        )
+        completed += int(checkpointed)
+        table.add_row([node.name, node.kind, state])
+    lines = [table.render(), f"{completed}/{len(graph)} nodes checkpointed"]
+    if store.recovered:
+        lines.append(
+            f"checkpoint recovered: {store.salvaged} intact "
+            "record(s) salvaged from a damaged file"
+        )
+    return "\n".join(lines)
 
+
+def _campaign_run(args: "argparse.Namespace") -> int:
+    """``campaign run`` and ``campaign resume``: one pass of the graph,
+    restoring what the checkpoint already holds."""
     from repro.campaign import GraphRunner
 
-    if args.trace_dir:
-        from repro import obs
+    graph = _load_campaign_graph(args.spec)
+    with _trace_session(args.trace_dir) as session:
+        checkpoint = None
+        if args.checkpoint:
+            from repro.resilience import CheckpointStore
 
-        obs.enable()
-        obs.get_tracer().reset()
-        obs.get_ledger().reset()
+            checkpoint = CheckpointStore(args.checkpoint)
+        service = None
+        runner = None
+        try:
+            if args.serve:
+                from repro.serve import EvaluationService
 
-    checkpoint = None
-    if args.checkpoint:
-        from repro.resilience import CheckpointStore
-
-        checkpoint = CheckpointStore(args.checkpoint)
-    service = None
-    runner = None
-    try:
-        if args.serve:
-            from repro.serve import EvaluationService
-
-            service = EvaluationService(
-                batch_size=args.batch_size,
-                max_queue=max(16, 2 * len(graph)),
-                parallel=args.workers,
-                cache=args.cache,
-            )
-            runner = GraphRunner(service=service, checkpoint=checkpoint)
-        else:
-            runner = GraphRunner(
-                parallel=args.workers, cache=args.cache,
-                checkpoint=checkpoint,
-            )
-        report = runner.run(graph)
-    finally:
-        if runner is not None:
-            runner.close()
-        if service is not None:
-            service.shutdown()
+                service = EvaluationService(
+                    batch_size=args.batch_size,
+                    max_queue=max(16, 2 * len(graph)),
+                    parallel=args.workers,
+                    cache=args.cache,
+                )
+                runner = GraphRunner(service=service, checkpoint=checkpoint)
+            else:
+                runner = GraphRunner(
+                    parallel=args.workers, cache=args.cache,
+                    checkpoint=checkpoint,
+                )
+            report = runner.run(graph)
+        finally:
+            if runner is not None:
+                runner.close()
+            if service is not None:
+                service.shutdown()
 
     counts = report.counts()
     table = Table(
         ["node", "kind", "status", "resumed", "attempts", "backtracks",
          "detail"],
-        title=f"repro campaign {args.verb} -- {graph.name} "
+        title=f"{args.prog} -- {graph.name} "
         f"({len(report.layers)} layer(s))",
     )
     for name, result in report.results.items():
@@ -1151,12 +954,7 @@ def _campaign_main(argv: List[str]) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report.to_json(), fh, indent=2, sort_keys=True)
         body += f"\nrun report written to {args.out}"
-    if args.trace_dir:
-        from repro import obs
-
-        body += "\n" + _export_observability(args.trace_dir)
-        obs.disable()
-    print(body)
+    print(body + session.footer)
     return 0 if report.ok else 1
 
 
@@ -1284,219 +1082,314 @@ def _cmd_survey_csv() -> str:
     return to_csv(load_dataset()).rstrip()
 
 
-_COMMANDS = {
-    "fig1": _cmd_fig1,
-    "fig2": _cmd_fig2,
-    "taxonomy": _cmd_fig2,
-    "fig7": _cmd_fig7,
-    "table1": _cmd_table1,
-    "scf": _cmd_scf,
-    "survey-csv": _cmd_survey_csv,
-    "faults": _cmd_faults,
+def _printed(render: Callable[["argparse.Namespace"], str]):
+    """A verb handler printing what ``render(args)`` returns."""
+
+    def run(args: "argparse.Namespace") -> int:
+        print(render(args))
+        return 0
+
+    return run
+
+
+#: The paper artifacts: verb -> (renderer, help).
+_ARTIFACTS = {
+    "fig1": (_cmd_fig1, "Fig. 1: SotA accelerator efficiency per "
+             "platform class"),
+    "fig2": (_cmd_fig2, "Fig. 2: 512x512 MVM energy per "
+             "processor-memory organization"),
+    "fig7": (_cmd_fig7, "Fig. 7: RISC-V DL accelerators per power band"),
+    "table1": (_cmd_table1, "Table I: HTCONV vs FPGA SotA"),
+    "scf": (_cmd_scf, "Fig. 8: SCF scale-up, NoC vs AXI"),
+    "survey-csv": (_cmd_survey_csv, "the accelerator survey as CSV"),
+    "faults": (_cmd_faults, "fault-injection sweep: hetero storage "
+               "faults and IMC stuck-at cells"),
 }
+
+
+def _rates(text: str) -> List[float]:
+    """``--offered-rps`` values: comma-separated numbers."""
+    try:
+        return [float(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole ``repro`` command tree.  Each leaf parser sets ``run``
+    (its handler, ``args -> exit code``) and ``prog`` (its name in
+    error messages)."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Regenerate the ICSC Flagship 2 paper artifacts and "
+        "drive the serving, campaign and observability stacks.",
+    )
+    verbs = parser.add_subparsers(dest="verb", required=True)
+
+    def verb(group, name, run, help, parents=(), **kwargs):
+        sub = group.add_parser(
+            name, help=help, description=help, parents=list(parents),
+            **kwargs,
+        )
+        sub.set_defaults(run=run, prog=sub.prog)
+        return sub
+
+    for name, (render, help) in _ARTIFACTS.items():
+        verb(
+            verbs, name, _printed(lambda _args, render=render: render()),
+            help, aliases=["taxonomy"] if name == "fig2" else [],
+        )
+
+    exe = verb(
+        verbs, "exec", _printed(_cmd_exec),
+        "parallel evaluation engine demo: an IMC crossbar campaign, "
+        "serial vs pooled vs cached",
+    )
+    exe.add_argument("--workers", type=int, default=None,
+                     help="pool size (default: CPU count)")
+    exe.add_argument("--cells", type=int, default=16,
+                     help="number of campaign cells to sweep")
+    exe.add_argument("--cache-dir", default=None,
+                     help="directory for the persistent result cache")
+    exe.add_argument("--no-cache", action="store_true",
+                     help="disable the content-addressed result cache")
+
+    profile = verb(
+        verbs, "profile", _printed(_cmd_profile),
+        "trace and time the instrumented kernels on short demo workloads",
+    )
+    profile.add_argument(
+        "demo", nargs="?", default=None, choices=sorted(_PROFILE_DEMOS),
+        help="which kernel demo to run (default: all)",
+    )
+
+    load = argparse.ArgumentParser(add_help=False)
+    load.add_argument(
+        "--workload", default="imc-crossbar",
+        help="workload name for the synthetic load generator",
+    )
+    load.add_argument("--num-requests", type=int, default=24,
+                      help="synthetic request count")
+    load.add_argument(
+        "--pool", type=int, default=6,
+        help="distinct configurations in the synthetic pool",
+    )
+    load.add_argument("--seed", type=int, default=0,
+                      help="load-generator (and chaos schedule) seed")
+    load.add_argument(
+        "--shards", type=int, default=None,
+        help="shard count (serve: unsharded by default; chaos: 4)",
+    )
+    load.add_argument("--batch-size", type=int, default=8,
+                      help="micro-batch size")
+    load.add_argument(
+        "--workers", type=int, default=None,
+        help="batch execution workers (default: serial)",
+    )
+    load.add_argument(
+        "--cache-dir", default=None,
+        help="directory for the persistent serve result cache",
+    )
+    load.add_argument("--out", default=None,
+                      help="write the run's JSON report here")
+    cost = argparse.ArgumentParser(add_help=False)
+    cost.add_argument(
+        "--target-p99-ms", type=float, default=None,
+        help="target p99 latency in ms (serve default: 5x the measured "
+        "p99; capacity default: 250)",
+    )
+    cost.add_argument("--shard-cost", type=float, default=0.50,
+                      help="cost per shard-hour (default: 0.50)")
+    cost.add_argument(
+        "--overhead-cost", type=float, default=0.20,
+        help="fixed cluster overhead per hour (default: 0.20)",
+    )
+
+    serve = verb(
+        verbs, "serve", _printed(_cmd_serve),
+        "run the micro-batched evaluation service: one-shot with "
+        "--requests FILE, synthetic load otherwise",
+        parents=[load, cost],
+    )
+    serve.add_argument(
+        "--requests", default=None,
+        help="JSON file holding an array of evaluation requests",
+    )
+    serve.add_argument(
+        "--rate", type=float, default=None,
+        help="offered load in requests/second (default: burst)",
+    )
+    serve.add_argument(
+        "--backend", choices=("inproc", "process"), default="inproc",
+        help="shard backend; 'process' hosts each shard in its own "
+        "worker process (implies a cluster, default 2 shards)",
+    )
+    serve.add_argument(
+        "--capacity-report", action="store_true",
+        help="append a capacity/TCO plan derived from the measured "
+        "throughput and p99",
+    )
+    serve.add_argument(
+        "--trace-dir", default=None,
+        help="record the run under repro.obs and write traces, ledger, "
+        "metrics and flight recording here",
+    )
+
+    chaos = verb(
+        verbs, "chaos", _printed(_cmd_chaos),
+        "seeded fault-injection campaign against a shard cluster",
+        parents=[load],
+    )
+    chaos.add_argument("--kills", type=int, default=1,
+                       help="shard kills in the seeded schedule")
+
+    capacity = verb(
+        verbs, "capacity", _printed(_cmd_capacity),
+        "plan shard counts and cost per million requests from measured "
+        "throughput and latency",
+        parents=[cost],
+    )
+    capacity.add_argument("--shard-rps", type=float, default=None,
+                          help="measured per-shard throughput (rps)")
+    capacity.add_argument("--shard-p99-ms", type=float, default=None,
+                          help="measured service-time p99 (ms)")
+    capacity.add_argument(
+        "--from-report", default=None,
+        help="read the model from a BENCH_scale.json (or any JSON with "
+        "a capacity block)",
+    )
+    capacity.add_argument(
+        "--offered-rps", type=_rates, default=None,
+        help="comma-separated offered loads to plan for (default: "
+        "0.5x..8x one shard's throughput)",
+    )
+    capacity.add_argument("--max-shards", type=int, default=1024,
+                          help="largest shard count to consider")
+    capacity.add_argument("--out", default=None,
+                          help="write the capacity report JSON here")
+
+    campaign = verbs.add_parser(
+        "campaign", help="run declarative campaign DAGs from a JSON or "
+        ".py graph spec",
+    ).add_subparsers(dest="action", required=True)
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("spec", help="campaign graph spec (.json or .py)")
+    runs = argparse.ArgumentParser(add_help=False, parents=[spec])
+    runs.add_argument(
+        "--workers", type=int, default=None,
+        help="evaluate each layer over a process pool this wide "
+        "(default: serial)",
+    )
+    runs.add_argument("--cache", default=None,
+                      help="path for the content-addressed result cache")
+    runs.add_argument(
+        "--serve", action="store_true",
+        help="route evaluations through a live EvaluationService "
+        "(admission control, micro-batching, dedup)",
+    )
+    runs.add_argument("--batch-size", type=int, default=8,
+                      help="--serve: micro-batch size")
+    runs.add_argument(
+        "--trace-dir", default=None,
+        help="record the run under repro.obs and write traces, ledger "
+        "and metrics here",
+    )
+    runs.add_argument("--out", default=None,
+                      help="write the campaign run report JSON here")
+    verb(
+        campaign, "run", _campaign_run, "execute a campaign graph spec",
+        parents=[runs],
+    ).add_argument(
+        "--checkpoint", default=None,
+        help="JSON checkpoint store for node results (enables resume)",
+    )
+    verb(
+        campaign, "resume", _campaign_run,
+        "re-execute a spec against its checkpoint (completed nodes are "
+        "restored, not re-run)",
+        parents=[runs],
+    ).add_argument("--checkpoint", required=True,
+                   help="checkpoint store written by a previous run")
+    verb(
+        campaign, "status", _printed(_campaign_status),
+        "show a spec's progress against a checkpoint", parents=[spec],
+    ).add_argument("--checkpoint", required=True,
+                   help="checkpoint store to inspect")
+    verb(
+        campaign, "example", _campaign_example,
+        "print the composite example graph (DSE -> hetero -> Pareto) "
+        "as a runnable JSON spec",
+    ).add_argument("--out", default=None,
+                   help="write the example spec here (default: stdout)")
+
+    obs = verbs.add_parser(
+        "obs", help="inspect what 'repro serve --trace-dir' recorded",
+    ).add_subparsers(dest="action", required=True)
+    trace = argparse.ArgumentParser(add_help=False)
+    trace.add_argument(
+        "--trace-dir", default="obs",
+        help="directory written by 'repro serve --trace-dir' "
+        "(default: ./obs)",
+    )
+    verb(
+        obs, "show", _printed(_obs_show),
+        "render one trace's span tree and ledger events", parents=[trace],
+    ).add_argument("trace_id", help="trace id (unique prefix accepted)")
+    verb(
+        obs, "summary", _printed(_obs_summary),
+        "aggregate span durations across all traces", parents=[trace],
+    )
+    export = verb(
+        obs, "export", _obs_export, "re-export the recording",
+        parents=[trace],
+    )
+    export.add_argument(
+        "--format", choices=("chrome", "jsonl", "prom"), default="chrome",
+        help="chrome/jsonl re-export the spans; prom renders the "
+        "exported metrics snapshot as Prometheus text exposition",
+    )
+    export.add_argument("--out", default=None,
+                        help="output file (default: stdout)")
+    verb(
+        obs, "top", _printed(_obs_top),
+        "slowest requests with their critical-path phase split",
+        parents=[trace],
+    ).add_argument("--top", type=int, default=10,
+                   help="how many requests to list")
+    verb(
+        obs, "slo", _obs_slo,
+        "evaluate SLO burn rates over the flight-recorder samples",
+        parents=[trace],
+    ).add_argument(
+        "--spec", default=None,
+        help="JSON file with a list of SLO spec objects (default: "
+        "built-in latency/error/availability objectives)",
+    )
+    critical = verb(
+        obs, "critical-path", _printed(_obs_critical_path),
+        "aggregate critical-path phase report (optionally vs a baseline "
+        "trace dir)",
+        parents=[trace],
+    )
+    critical.add_argument("--top", type=int, default=10,
+                          help="how many requests to list")
+    critical.add_argument(
+        "--baseline", default=None,
+        help="another trace dir to attribute a regression against",
+    )
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "obs":
-        return _obs_main(argv[1:])
-    if argv and argv[0] == "campaign":
-        return _campaign_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Regenerate ICSC Flagship 2 paper artifacts.",
-    )
-    parser.add_argument(
-        "artifact",
-        choices=sorted(_COMMANDS) + [
-            "campaign", "capacity", "chaos", "exec", "obs", "profile",
-            "serve",
-        ],
-        help="which paper artifact to regenerate ('exec' runs the "
-        "parallel evaluation engine demo, 'profile' times the "
-        "instrumented kernels on short demo workloads, 'serve' runs "
-        "the micro-batched evaluation service -- one-shot with "
-        "--requests FILE, synthetic load otherwise; 'chaos' runs a "
-        "seeded fault-injection campaign against a shard cluster; "
-        "'capacity' plans shard counts and cost per million requests "
-        "from measured throughput/latency; 'obs' inspects recorded "
-        "traces: show/summary/export)",
-    )
-    parser.add_argument(
-        "demo",
-        nargs="?",
-        default=None,
-        choices=sorted(_PROFILE_DEMOS),
-        help="profile: which kernel demo to run (default: all)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="exec: pool size (default: CPU count); serve: batch "
-        "execution workers (default: serial)",
-    )
-    parser.add_argument(
-        "--cells",
-        type=int,
-        default=16,
-        help="exec: number of campaign cells to sweep",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="exec: directory for the persistent result cache",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="exec: disable the content-addressed result cache",
-    )
-    parser.add_argument(
-        "--requests",
-        default=None,
-        help="serve: JSON file holding an array of evaluation requests "
-        "(one-shot mode)",
-    )
-    parser.add_argument(
-        "--workload",
-        default="imc-crossbar",
-        help="serve: workload name for the synthetic load generator",
-    )
-    parser.add_argument(
-        "--num-requests",
-        type=int,
-        default=24,
-        help="serve: synthetic request count",
-    )
-    parser.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="serve: offered load in requests/second (default: burst)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=8,
-        help="serve: micro-batch size",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="serve/chaos: shard count (serve defaults to an unsharded "
-        "service, chaos to 4 supervised shards)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("inproc", "process"),
-        default="inproc",
-        help="serve: shard backend -- 'process' hosts each shard in "
-        "its own worker process (implies a cluster, default 2 shards)",
-    )
-    parser.add_argument(
-        "--capacity-report",
-        action="store_true",
-        help="serve: append a capacity/TCO plan derived from the "
-        "measured throughput and p99",
-    )
-    parser.add_argument(
-        "--target-p99-ms",
-        type=float,
-        default=None,
-        help="serve/capacity: target p99 latency in ms (serve default: "
-        "5x the measured p99; capacity default: 250)",
-    )
-    parser.add_argument(
-        "--shard-rps",
-        type=float,
-        default=None,
-        help="capacity: measured per-shard throughput (rps)",
-    )
-    parser.add_argument(
-        "--shard-p99-ms",
-        type=float,
-        default=None,
-        help="capacity: measured service-time p99 (ms)",
-    )
-    parser.add_argument(
-        "--from-report",
-        default=None,
-        help="capacity: read the model from a BENCH_scale.json (or any "
-        "JSON with a capacity block)",
-    )
-    parser.add_argument(
-        "--offered-rps",
-        default=None,
-        help="capacity: comma-separated offered loads to plan for "
-        "(default: 0.5x..8x one shard's throughput)",
-    )
-    parser.add_argument(
-        "--shard-cost",
-        type=float,
-        default=0.50,
-        help="capacity/serve: cost per shard-hour (default: 0.50)",
-    )
-    parser.add_argument(
-        "--overhead-cost",
-        type=float,
-        default=0.20,
-        help="capacity/serve: fixed cluster overhead per hour "
-        "(default: 0.20)",
-    )
-    parser.add_argument(
-        "--max-shards",
-        type=int,
-        default=1024,
-        help="capacity: largest shard count to consider",
-    )
-    parser.add_argument(
-        "--kills",
-        type=int,
-        default=1,
-        help="chaos: shard kills in the seeded schedule",
-    )
-    parser.add_argument(
-        "--pool",
-        type=int,
-        default=6,
-        help="serve: distinct configurations in the synthetic pool",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="serve: load-generator seed",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="serve: write the service metrics snapshot JSON here",
-    )
-    parser.add_argument(
-        "--trace-dir",
-        default=None,
-        help="serve: record the run under repro.obs tracing and write "
-        "trace.jsonl / ledger.jsonl / trace.chrome.json here",
-    )
-    args = parser.parse_args(argv)
-    if args.demo is not None and args.artifact != "profile":
-        parser.error("a demo name is only valid with 'profile'")
-    if args.artifact == "exec":
-        print(_cmd_exec(args))
-    elif args.artifact == "profile":
-        print(_cmd_profile(args))
-    elif args.artifact == "serve":
-        print(_cmd_serve(args))
-    elif args.artifact == "chaos":
-        print(_cmd_chaos(args))
-    elif args.artifact == "capacity":
-        print(_cmd_capacity(args))
-    else:
-        print(_COMMANDS[args.artifact]())
-    return 0
+    args = build_parser().parse_args(argv)
+    try:
+        return args.run(args)
+    except ReproError as exc:
+        print(f"{args.prog}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main()

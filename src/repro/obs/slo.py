@@ -108,16 +108,21 @@ class SLOSpec:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "SLOSpec":
-        return cls(
-            name=str(data["name"]),
-            objective=str(data["objective"]),
-            target=float(data["target"]),
-            windows=tuple(
-                float(w) for w in data.get("windows", (1.0, 5.0))
-            ),
-            burn_threshold=float(data.get("burn_threshold", 1.0)),
-            workload=data.get("workload"),
-        )
+        try:
+            return cls(
+                name=str(data["name"]),
+                objective=str(data["objective"]),
+                target=float(data["target"]),
+                windows=tuple(
+                    float(w) for w in data.get("windows", (1.0, 5.0))
+                ),
+                burn_threshold=float(data.get("burn_threshold", 1.0)),
+                workload=data.get("workload"),
+            )
+        except ValidationError:
+            raise
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise ValidationError(f"bad SLO spec {data!r}: {exc!r}") from exc
 
 
 def _counter_delta(

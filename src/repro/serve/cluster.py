@@ -73,6 +73,10 @@ REPLICAS = 64
 #: it rejects the request with ``reason="no live shards"``.
 REROUTE_TIMEOUT_S = 10.0
 
+#: How long a chaos campaign waits for each result, and for the
+#: cluster to report ready again after its kills.
+CHAOS_RESULT_TIMEOUT_S = 60.0
+
 
 class ShardRouter:
     """Consistent-hash routing of request digests onto shard ids.
@@ -294,7 +298,6 @@ class ShardCluster:
         parallel: EvaluatorLike = None,
         cache: CacheLike = None,
         policy: Optional[BackoffPolicy] = None,
-        default_timeout_s: Optional[float] = None,
         breaker_threshold: int = 8,
         breaker_recovery_s: float = 0.5,
         supervise: bool = True,
@@ -325,7 +328,6 @@ class ShardCluster:
                 cache if backend == "process" else coerce_cache(cache)
             ),
             "policy": policy,
-            "default_timeout_s": default_timeout_s,
         }
         if backend == "process":
             # Fail fast on specs that cannot cross the spawn boundary.
@@ -883,7 +885,6 @@ def run_chaos_campaign(
     heartbeat_s: float = 0.02,
     stall_timeout_s: Optional[float] = 30.0,
     breaker_threshold: int = 32,
-    result_timeout_s: float = 60.0,
     recorder: Optional[Any] = None,
     backend: str = "inproc",
 ) -> Tuple[List[RunResult], Dict[str, Any]]:
@@ -970,7 +971,7 @@ def run_chaos_campaign(
         errors = 0
         for future in futures:
             try:
-                result = future.result(timeout=result_timeout_s)
+                result = future.result(timeout=CHAOS_RESULT_TIMEOUT_S)
             except Exception:
                 lost += 1
                 results.append(None)  # type: ignore[arg-type]
@@ -981,12 +982,12 @@ def run_chaos_campaign(
         extra_lost = 0
         for future in extra_futures:
             try:
-                future.result(timeout=result_timeout_s)
+                future.result(timeout=CHAOS_RESULT_TIMEOUT_S)
             except Exception:
                 extra_lost += 1
         elapsed = time.perf_counter() - started_at
         if killed_at:
-            cluster.wait_ready(result_timeout_s)
+            cluster.wait_ready(CHAOS_RESULT_TIMEOUT_S)
         for kill, at in zip(kills, killed_at):
             ready_at = getattr(
                 cluster._slots[kill["shard"]].service, "ready_at", None

@@ -97,7 +97,6 @@ SPEC_KEYS = (
     "parallel",
     "cache",
     "policy",
-    "default_timeout_s",
 )
 
 

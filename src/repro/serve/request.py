@@ -55,7 +55,7 @@ class EvalRequest:
     timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.workload:
+        if not isinstance(self.workload, str) or not self.workload:
             raise ValidationError("request needs a workload name")
         if not isinstance(self.config, Mapping):
             raise ValidationError("request config must be a mapping")
@@ -75,8 +75,12 @@ class EvalRequest:
                 )
         elif not isinstance(self.priority, int):
             raise ValidationError("priority must be a lane name or an int")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValidationError("timeout_s must be positive")
+        if self.timeout_s is not None and (
+            isinstance(self.timeout_s, bool)
+            or not isinstance(self.timeout_s, numbers.Real)
+            or not self.timeout_s > 0
+        ):
+            raise ValidationError("timeout_s must be a positive number")
         object.__setattr__(
             self,
             "config",
@@ -118,6 +122,8 @@ class EvalRequest:
             raise ValidationError(
                 f"unknown EvalRequest fields: {sorted(unknown)}"
             )
+        if "workload" not in payload:
+            raise ValidationError("request needs a workload name")
         return cls(**dict(payload))
 
     @classmethod

@@ -82,7 +82,6 @@ class EvaluationService:
         parallel: EvaluatorLike = None,
         cache: CacheLike = None,
         policy: Optional[BackoffPolicy] = None,
-        default_timeout_s: Optional[float] = None,
         start: bool = True,
     ) -> None:
         if batch_size < 1:
@@ -101,7 +100,6 @@ class EvaluationService:
             )
         self._evaluator = engine
         self.policy = policy or BackoffPolicy(max_attempts=1)
-        self.default_timeout_s = default_timeout_s
         self.metrics = ServiceMetrics()
 
         self._lock = threading.Lock()
@@ -340,10 +338,7 @@ class EvaluationService:
                 seed=seed,
                 impl=impl,
                 priority=priority,
-                timeout_s=(
-                    timeout_s if timeout_s is not None
-                    else self.default_timeout_s
-                ),
+                timeout_s=timeout_s,
             ),
             block=block,
             trace_ctx=trace_ctx,
@@ -577,11 +572,7 @@ class EvaluationService:
                 pending.request.seed,
                 pending.request.impl,
                 self.policy,
-                (
-                    pending.request.timeout_s
-                    if pending.request.timeout_s is not None
-                    else self.default_timeout_s
-                ),
+                pending.request.timeout_s,
                 True,
                 wire,
             )

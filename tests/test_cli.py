@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import re
+import shlex
+import threading
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro import obs
+from repro.cli import build_parser, main
 
 
 class TestCli:
@@ -90,13 +96,11 @@ class TestServeCli:
         assert snapshot["requests"]["completed"] == 2
         assert "latency_s" in snapshot
 
-    def test_bad_request_file_rejected(self, tmp_path):
-        from repro.core.errors import ValidationError
-
+    def test_bad_request_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"workload": "hls"}')
-        with pytest.raises(ValidationError, match="array"):
-            main(["serve", "--requests", str(path)])
+        assert main(["serve", "--requests", str(path)]) == 1
+        assert "array" in capsys.readouterr().err
 
 
 class TestCapacityCli:
@@ -145,11 +149,9 @@ class TestCapacityCli:
         ]) == 0
         assert "100.0 rps/shard" in capsys.readouterr().out
 
-    def test_capacity_requires_a_model_source(self):
-        from repro.core.errors import ValidationError
-
-        with pytest.raises(ValidationError, match="--shard-rps"):
-            main(["capacity"])
+    def test_capacity_requires_a_model_source(self, capsys):
+        assert main(["capacity"]) == 1
+        assert "--shard-rps" in capsys.readouterr().err
 
     def test_serve_capacity_report_footer(self, tmp_path, capsys):
         import json
@@ -164,3 +166,147 @@ class TestCapacityCli:
         snapshot = json.loads(out_path.read_text())
         assert "capacity" in snapshot
         assert snapshot["capacity"]["plans"]
+
+
+class TestCommandTree:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--shards", "2"],
+            ["taxonomy", "--out", "x.json"],
+            ["table1", "--seed", "1"],
+            ["chaos", "--backend", "process"],
+            ["chaos", "--trace-dir", "d"],
+            ["capacity", "--workers", "2"],
+            ["capacity", "--trace-dir", "d"],
+            ["exec", "--rate", "1"],
+            ["serve", "--kills", "1"],
+            ["profile", "--workers", "2"],
+            ["campaign", "status", "s.json", "--checkpoint", "c",
+             "--workers", "2"],
+            ["obs", "summary", "--seed", "1"],
+            ["--workers", "2", "campaign"],
+            ["--seed", "1", "obs"],
+        ],
+        ids=" ".join,
+    )
+    def test_flag_the_verb_does_not_read_is_a_usage_error(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_lists_every_verb(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        listed = {
+            name
+            for pair in re.findall(
+                r"^    ([\w-]+)(?: \(([\w-]+)\))?",
+                capsys.readouterr().out, re.M,
+            )
+            for name in pair
+        }
+        assert listed >= {
+            "fig1", "fig2", "taxonomy", "fig7", "table1", "scf",
+            "survey-csv", "faults", "exec", "profile", "serve", "chaos",
+            "capacity", "campaign", "obs",
+        }
+
+
+def _assert_observability_off():
+    assert not obs.get_tracer().enabled
+    assert not obs.get_ledger().enabled
+    assert not obs.get_metrics().enabled
+    assert not [
+        t for t in threading.enumerate() if t.name == "flight-recorder"
+    ]
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--batch-size", "0"],
+            ["serve", "--requests", "{tmp}/nonexistent.json"],
+            ["campaign", "run", "{tmp}/bad.json"],
+            ["campaign", "run", "{tmp}/list.json"],
+            ["capacity", "--from-report", "{tmp}/bad.json"],
+            ["capacity", "--from-report", "{tmp}/list.json"],
+            ["capacity"],
+            ["campaign", "run", "{tmp}/deps.json"],
+            ["obs", "slo", "--trace-dir", "{tmp}", "--spec",
+             "{tmp}/bad.json"],
+            ["obs", "slo", "--trace-dir", "{tmp}", "--spec",
+             "{tmp}/slo.json"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_input_is_one_error_line(self, argv, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text("{not json")
+        (tmp_path / "list.json").write_text("[]")
+        (tmp_path / "deps.json").write_text(
+            '{"nodes": [{"name": "a", "workload": "hls", "deps": [[1]]}]}'
+        )
+        (tmp_path / "slo.json").write_text("[{}]")
+        (tmp_path / "flight.jsonl").write_text("")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}")
+        assert ": error: " in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_failing_traced_serve_turns_observability_off(
+        self, tmp_path, capsys
+    ):
+        assert main([
+            "serve", "--trace-dir", str(tmp_path / "obs"),
+            "--batch-size", "0",
+        ]) == 1
+        _assert_observability_off()
+
+    def test_failing_traced_campaign_turns_observability_off(
+        self, tmp_path, capsys
+    ):
+        spec = str(tmp_path / "spec.json")
+        assert main(["campaign", "example", "--out", spec]) == 0
+        assert main([
+            "campaign", "run", spec, "--serve", "--batch-size", "0",
+            "--trace-dir", str(tmp_path / "obs"),
+        ]) == 1
+        assert "batch_size" in capsys.readouterr().err
+        _assert_observability_off()
+
+
+def _readme_commands():
+    """Every ``python -m repro ...`` command README.md shows, from
+    fenced blocks (``\\`` continuations joined) and inline code."""
+    text = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            _, found, command = line.partition("python -m repro ")
+            if found:
+                commands.append(command)
+    commands += [
+        command.replace("\n", " ")
+        for command in re.findall(r"`python -m repro ([^`]*)`", text)
+    ]
+    return commands
+
+
+class TestReadmeCommands:
+    COMMANDS = _readme_commands()
+
+    def test_readme_shows_the_cli(self):
+        assert len(self.COMMANDS) >= 25
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_documented_command_parses(self, command):
+        argv = shlex.split(command, comments=True)
+        redirect = [i for i, arg in enumerate(argv) if arg.startswith(">")]
+        build_parser().parse_args(argv[: redirect[0]] if redirect else argv)

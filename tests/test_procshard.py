@@ -311,8 +311,7 @@ class TestRouterRebalance:
 
 class TestProcessShard:
     _SPEC = {"batch_size": 2, "batch_wait_s": 0.01, "max_queue": 8,
-             "parallel": None, "cache": None, "policy": None,
-             "default_timeout_s": None}
+             "parallel": None, "cache": None, "policy": None}
 
     def test_ndarray_config_served_over_pickle(self):
         """A config holding a 1 MB ndarray crosses the shard pipe in
