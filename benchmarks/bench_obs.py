@@ -22,6 +22,13 @@ not change that.  This bench measures the promise and gates it in CI:
   request trace spans ``cluster.request -> request -> worker`` and the
   canonical trace encoding is byte-identical on a rerun and across the
   inproc/process backends.
+- **admission-hit row**: an ``hls`` request answered from an in-memory
+  cache at admission (``submit_request`` plus ``.result()``), timed
+  with every pillar off against the same hit with tracing, metrics
+  and the ledger on -- once with a fresh ``EvalRequest`` per hit (one
+  digest each) and once resubmitting one object.  Reported, not
+  gated: it is the armed hit-path cost the record-time work has to
+  bring down.
 - **enabled** numbers are reported for the record, never gated --
   recording spans is supposed to cost something.
 
@@ -52,9 +59,9 @@ from repro.imc.crossbar import AnalogCrossbar, CrossbarConfig
 from repro.obs.trace import derive_trace_id
 
 FULL = {"rows": 128, "cols": 128, "batch": 8, "calls": 400,
-        "cluster_requests": 96}
+        "cluster_requests": 96, "hits": 3000}
 QUICK = {"rows": 64, "cols": 64, "batch": 4, "calls": 120,
-         "cluster_requests": 48}
+         "cluster_requests": 48, "hits": 1000}
 
 #: Span names every stitched cluster request trace must contain.
 STITCHED_NAMES = ("cluster.request", "request", "worker")
@@ -203,6 +210,62 @@ def _measure_kernel_armed(size, repeats: int):
         "samples_recorded": len(recorder.samples()),
         "gated": True,
     }
+
+
+def _measure_admission_hit(size, repeats: int):
+    """Admission-hit row: per-hit wall time of an ``hls`` cache hit
+    with every pillar off (plain) and on (armed), for fresh and
+    resubmitted request objects.  Each timed pass starts from empty
+    stores, so the armed side never pays for an earlier pass's
+    records."""
+    from repro.core.api import example_config, get_workload
+    from repro.exec import ResultCache
+    from repro.serve import EvalRequest, EvaluationService
+
+    hits = size["hits"]
+    config = example_config(get_workload("hls"))
+    request = EvalRequest("hls", config, seed=0)
+    obs.disable()
+    _reset_all()
+    service = EvaluationService(cache=ResultCache())
+    try:
+        assert service.submit_request(request).result(timeout=60).ok
+
+        def fresh():
+            for _ in range(hits):
+                service.submit_request(
+                    EvalRequest("hls", config, seed=0)
+                ).result()
+
+        def resubmitted():
+            for _ in range(hits):
+                service.submit_request(request).result()
+
+        def timed(body, armed):
+            _reset_all()
+            if armed:
+                obs.enable()
+            try:
+                return _time_calls(body, 1) / hits
+            finally:
+                obs.disable()
+
+        fresh(), resubmitted()  # warm-up
+        row = {"kind": "admission-hit", "kernel": "hls serve hit",
+               "hits": hits, "gated": False}
+        for label, body in (("fresh", fresh),
+                            ("resubmitted", resubmitted)):
+            plain, armed = [], []
+            for _ in range(repeats):
+                plain.append(timed(body, False))
+                armed.append(timed(body, True))
+            row[f"{label}_plain_us"] = min(plain) * 1e6
+            row[f"{label}_armed_us"] = min(armed) * 1e6
+            row[f"{label}_armed_overhead"] = _pair_overhead(plain, armed)
+    finally:
+        service.shutdown()
+        _reset_all()
+    return row
 
 
 def _cluster_requests(size):
@@ -363,6 +426,7 @@ def run_obs_study(sizes, repeats: int = 3, clusters: bool = True):
         _measure_kernel(sizes, repeats),
         _measure_kernel_armed(sizes, repeats),
     ]
+    hit_row = _measure_admission_hit(sizes, repeats)
     backends_identical = None
     if clusters:
         cluster_rows = [
@@ -378,6 +442,7 @@ def run_obs_study(sizes, repeats: int = 3, clusters: bool = True):
         "hardware": {"cpu_count": os.cpu_count()},
         "repeats": repeats,
         "rows": rows,
+        "admission_hit": hit_row,
         "stitched_backends_identical": backends_identical,
     }
 
@@ -413,6 +478,15 @@ def render(study) -> str:
             ]
         )
     lines = [table.render()]
+    hit = study.get("admission_hit")
+    if hit is not None:
+        for label in ("fresh", "resubmitted"):
+            lines.append(
+                f"admission hit ({label}, {hit['hits']} hits, hls): "
+                f"plain {hit[label + '_plain_us']:.1f} us, "
+                f"armed {hit[label + '_armed_us']:.1f} us "
+                f"({hit[label + '_armed_overhead']:+.0%}, not gated)"
+            )
     if study.get("stitched_backends_identical") is not None:
         lines.append(
             "stitched canonical traces identical across "

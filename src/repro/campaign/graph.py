@@ -578,8 +578,8 @@ class CampaignGraph:
             except ValidationError:
                 raise
             except (
-                ArithmeticError, AttributeError, LookupError, TypeError,
-                ValueError,
+                ArithmeticError, AttributeError, LookupError, RecursionError,
+                TypeError, ValueError,
             ) as exc:
                 raise ValidationError(
                     f"campaign node {index}: {exc!r}"

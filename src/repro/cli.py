@@ -244,11 +244,11 @@ def _load_json(path: str) -> Any:
 
 def _read(what: str, path: str, load: Callable[[str], Any] = _load_json):
     """``load(path)`` for every file the CLI reads: an unreadable or
-    malformed file becomes one :class:`ValidationError` naming *what*
-    and *path*."""
+    malformed file -- one nested too deep to parse included -- becomes
+    one :class:`ValidationError` naming *what* and *path*."""
     try:
         return load(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read {what} at {path}: {exc}") from exc
 
 
@@ -280,8 +280,8 @@ def _trace_session(
 
     obs.enable()
     tracer, ledger = obs.get_tracer(), obs.get_ledger()
-    for store in (tracer, ledger, obs.get_metrics()):
-        store.reset()
+    tracer.reset()
+    obs.get_metrics().reset()
     recorder = None
     try:
         if flight:
@@ -1082,6 +1082,20 @@ def _cmd_survey_csv() -> str:
     return to_csv(load_dataset()).rstrip()
 
 
+class _FileOrLoad(argparse.Action):
+    """Store the value, and make ``serve --requests FILE`` together with
+    a synthetic-load or cluster flag a usage error: the file is served
+    as given, unsharded, so the flag would be silently ignored."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        given = vars(namespace).setdefault("load_flags", [])
+        given.append(self.option_strings[0])
+        if "--requests" in given and len(given) > 1:
+            ignored = ", ".join(f for f in given if f != "--requests")
+            parser.error(f"--requests FILE cannot be combined with {ignored}")
+
+
 def _printed(render: Callable[["argparse.Namespace"], str]):
     """A verb handler printing what ``render(args)`` returns."""
 
@@ -1167,19 +1181,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     load = argparse.ArgumentParser(add_help=False)
     load.add_argument(
-        "--workload", default="imc-crossbar",
+        "--workload", default="imc-crossbar", action=_FileOrLoad,
         help="workload name for the synthetic load generator",
     )
     load.add_argument("--num-requests", type=int, default=24,
-                      help="synthetic request count")
+                      action=_FileOrLoad, help="synthetic request count")
     load.add_argument(
-        "--pool", type=int, default=6,
+        "--pool", type=int, default=6, action=_FileOrLoad,
         help="distinct configurations in the synthetic pool",
     )
-    load.add_argument("--seed", type=int, default=0,
+    load.add_argument("--seed", type=int, default=0, action=_FileOrLoad,
                       help="load-generator (and chaos schedule) seed")
     load.add_argument(
-        "--shards", type=int, default=None,
+        "--shards", type=int, default=None, action=_FileOrLoad,
         help="shard count (serve: unsharded by default; chaos: 4)",
     )
     load.add_argument("--batch-size", type=int, default=8,
@@ -1214,15 +1228,16 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[load, cost],
     )
     serve.add_argument(
-        "--requests", default=None,
+        "--requests", default=None, action=_FileOrLoad,
         help="JSON file holding an array of evaluation requests",
     )
     serve.add_argument(
-        "--rate", type=float, default=None,
+        "--rate", type=float, default=None, action=_FileOrLoad,
         help="offered load in requests/second (default: burst)",
     )
     serve.add_argument(
         "--backend", choices=("inproc", "process"), default="inproc",
+        action=_FileOrLoad,
         help="shard backend; 'process' hosts each shard in its own "
         "worker process (implies a cluster, default 2 shards)",
     )

@@ -40,8 +40,12 @@ from repro.resilience import Deadline, resilient_run
 def read_record(record: Any) -> Tuple[Any, Optional[Dict[str, Any]]]:
     """``(payload, envelope)`` of a result record: the
     ``RunResult.to_json()`` payload, and the traced ``__obs__``
-    envelope it came in (``None`` for a plain record)."""
+    envelope it came in (``None`` for a plain record).  An envelope
+    cached when spans travelled apart from events (a ``spans`` list)
+    reads as one record list, so a warm rerun still replays them."""
     if isinstance(record, dict) and record.get("__obs__"):
+        if "spans" in record:
+            record = {**record, "events": record["spans"] + record["events"]}
         return record["result"], record
     return record, None
 
@@ -100,7 +104,7 @@ def evaluate_task(task: Tuple) -> Dict[str, Any]:
 
     Without a trace context the result is the bare
     ``RunResult.to_json()`` record.  With one, it is an envelope: the
-    record plus every span and ledger event produced while evaluating,
+    record plus every span and event record produced while evaluating,
     keyed by the originating trace id so the coordinator can tell a
     fresh computation from a replayed cache hit.  Caches store it, so
     it never carries metrics.
@@ -124,8 +128,7 @@ def evaluate_task(task: Tuple) -> Dict[str, Any]:
         "__obs__": True,
         "trace_id": trace_id,
         "result": record,
-        "spans": captured.spans,
-        "events": captured.events,
+        "events": captured.records,
     }
 
 

@@ -48,7 +48,7 @@ def _salvage_records(text: str) -> Tuple[Pairs, bool]:
         try:
             key = json.loads(f'"{match.group(1)}"')
             value, end = _DECODER.raw_decode(text, match.end())
-        except ValueError:
+        except (ValueError, RecursionError):
             return records, False
         if _END_RE.match(text, end) is None:
             return records, False
@@ -61,9 +61,10 @@ def _salvage_records(text: str) -> Tuple[Pairs, bool]:
     return records, whole and bool(records) and text[pos:].strip() == "}"
 
 
-def _decode(text: str) -> Tuple[Pairs, Optional[ValueError]]:
+def _decode(text: str) -> Tuple[Pairs, Optional[Exception]]:
     """The ``(key, value)`` records of a store file, in order, and the
-    error that made it not whole (``None`` when it was)."""
+    error that made it not whole (``None`` when it was).  A line nested
+    too deep to parse is damage like any other."""
     pairs: Pairs = []
     pos = 0
     while pos < len(text):
@@ -72,7 +73,7 @@ def _decode(text: str) -> Tuple[Pairs, Optional[ValueError]]:
             line = json.loads(text[pos:end])
             if not isinstance(line, dict):
                 raise ValueError("store line is not a JSON object")
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             salvaged, whole = _salvage_records(text[pos:])
             return pairs + salvaged, None if whole else exc
         pairs.extend(line.items())

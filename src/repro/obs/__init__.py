@@ -1,26 +1,30 @@
 """repro.obs -- the observability plane: traces, metrics, ledger,
 flight recorder, SLOs.
 
-Three pillars, one enablement policy (disabled by default, single
-boolean check on every hot path):
+Two stores, one enablement policy (disabled by default, single boolean
+check on every hot path):
 
-- :mod:`repro.obs.trace` -- deterministic end-to-end request traces
-  with explicit context propagation across thread and process
-  boundaries, exported as JSONL or Chrome ``trace_event`` JSON; the
-  :func:`profiled` kernel decorator opens its spans;
+- :mod:`repro.obs.trace` -- the record store: one bounded list of two
+  record kinds, each with its own switch.  *Span* records are
+  deterministic end-to-end request traces with explicit context
+  propagation across thread and process boundaries, exported as JSONL
+  or Chrome ``trace_event`` JSON (the :func:`profiled` kernel
+  decorator opens their spans).  *Event* records are the run ledger:
+  run/fault/retry/cache/admission/checkpoint events keyed by trace id
+  and parent span, with watcher hooks for crash-triggered consumers;
+  :mod:`repro.obs.ledger` is their view (``get_ledger()``,
+  ``ledger.jsonl``, the canonical per-trace form);
 - :mod:`repro.obs.metrics` -- process-wide Counter/Gauge/Histogram
   registry with mergeable fixed-bucket histograms (serve counters,
   cache/jit timings) behind one ``snapshot()``, with Prometheus
-  text exposition;
-- :mod:`repro.obs.ledger` -- append-only event log keyed by trace id
-  (run/fault/retry/cache/admission/checkpoint events), with watcher
-  hooks for crash-triggered consumers.
+  text exposition.
 
-:mod:`repro.obs.envelope` carries all three across a thread or process
-boundary: a worker runs under :func:`capture`, the coordinator hands
-what comes back to :func:`absorb`.
+:mod:`repro.obs.envelope` carries both across a thread or process
+boundary -- one record list plus metrics: a worker runs under
+:func:`capture`, the coordinator hands what comes back to
+:func:`absorb`.
 
-Layered on the pillars (no extra enablement state of their own, and
+Layered on the stores (no extra enablement state of their own, and
 imported on first use of one of their names, so a process that only
 records -- a process shard -- never loads them):
 
@@ -34,8 +38,9 @@ records -- a process shard -- never loads them):
   stitched request traces into admission/batch/transport/eval/route
   phases.
 
-``enable()``/``disable()`` flip the three pillars together, which is
-what the ``repro serve --trace-dir`` path and the tests use.
+``enable()``/``disable()`` flip the three switches (spans, events,
+metrics) together, which is what the ``repro serve --trace-dir`` path
+and the tests use.
 """
 
 from repro._lazy import lazy_exports
@@ -98,15 +103,15 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 
 
 def enable() -> None:
-    """Turn on all three pillars (tracing, metrics, ledger)."""
+    """Turn on spans, events and metrics together."""
     enable_tracing()
     enable_metrics()
     enable_ledger()
 
 
 def disable() -> None:
-    """Turn all three pillars off (collected data is kept; use the
-    per-pillar ``reset()`` to drop it)."""
+    """Turn spans, events and metrics off (collected data is kept; use
+    the stores' ``reset()`` to drop it)."""
     disable_tracing()
     disable_metrics()
     disable_ledger()

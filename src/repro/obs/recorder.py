@@ -18,16 +18,17 @@ Dumps are triggered two ways:
 - explicitly, via :meth:`FlightRecorder.dump` (e.g. from a CLI exit
   path); or
 - automatically, via :meth:`FlightRecorder.watch_ledger`, which hooks
-  the run ledger's watcher chain and snapshots the ring the moment a
-  ``shard.killed`` / ``shard.down`` / ``shard.restarted`` event lands
-  -- *before* the supervisor's restart scrubs the evidence.
+  the event watcher of the tracer's record store and snapshots the
+  ring the moment a ``shard.killed`` / ``shard.down`` /
+  ``shard.restarted`` event record lands -- *before* the supervisor's
+  restart scrubs the evidence.
 
 Every dump takes one fresh sample first, so the record always includes
 the state at the instant of the trigger (the killed shard's last gauge
 readings), then freezes the ring into an immutable list.  Dumps never
-write ledger events themselves: a dump triggered by a ledger watcher
-emitting more ledger events would recurse (the ledger's re-entrancy
-guard would stop it, but the half-written dump would still be noise).
+record events themselves: a dump triggered by an event watcher
+recording more events would recurse (the store's re-entrancy guard
+would stop it, but the half-written dump would still be noise).
 
 Samples are *cumulative* registry snapshots; consumers -- the SLO
 evaluator's window math, the ``repro obs top`` report -- difference
@@ -43,10 +44,10 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional
 
 from repro.core.errors import ValidationError
-from repro.obs.ledger import RunLedger, get_ledger
 from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.trace import NUMBER, check_fields, get_tracer, read_jsonl
 
-#: Ledger events that trigger an automatic flight dump when
+#: Events that trigger an automatic flight dump when
 #: :meth:`FlightRecorder.watch_ledger` is armed.
 DEFAULT_DUMP_EVENTS = ("shard.killed", "shard.down", "shard.restarted")
 
@@ -83,7 +84,6 @@ class FlightRecorder:
         self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
-        self._watched_ledger: Optional[RunLedger] = None
         self._watcher: Optional[Callable[[Dict[str, Any]], Any]] = None
 
     # ------------------------------------------------------------ sources
@@ -155,7 +155,7 @@ class FlightRecorder:
             self.sample()
 
     def stop(self) -> None:
-        """Stop the sampler and unhook any ledger watcher."""
+        """Stop the sampler and unhook any event watcher."""
         with self._lock:
             thread = self._thread
             self._thread = None
@@ -171,7 +171,7 @@ class FlightRecorder:
 
         Takes one fresh sample first -- the dump always carries the
         state at the instant of the trigger -- then snapshots the ring.
-        Emits no ledger events (see module docstring).
+        Records no events (see module docstring).
         """
         self.sample()
         record = {
@@ -189,15 +189,10 @@ class FlightRecorder:
         with self._lock:
             return list(self._dumps)
 
-    def watch_ledger(
-        self,
-        events: tuple = DEFAULT_DUMP_EVENTS,
-        ledger: Optional[RunLedger] = None,
-    ) -> None:
-        """Dump automatically when any of *events* lands in the run
-        ledger (shard crash, chaos kill, supervisor restart)."""
+    def watch_ledger(self, events: tuple = DEFAULT_DUMP_EVENTS) -> None:
+        """Dump automatically when any of *events* is recorded (shard
+        crash, chaos kill, supervisor restart)."""
         self.unwatch_ledger()
-        target = ledger if ledger is not None else get_ledger()
         watched = tuple(events)
 
         def _on_event(record: Dict[str, Any]) -> None:
@@ -207,19 +202,17 @@ class FlightRecorder:
                     **{
                         key: value
                         for key, value in record.items()
-                        if key not in ("ts", "seq")
+                        if key not in ("ts", "seq", "parent_id")
                     },
                 )
 
-        target.add_watcher(_on_event)
-        self._watched_ledger = target
+        get_tracer().add_watcher(_on_event)
         self._watcher = _on_event
 
     def unwatch_ledger(self) -> None:
-        if self._watcher is not None and self._watched_ledger is not None:
-            self._watched_ledger.remove_watcher(self._watcher)
+        if self._watcher is not None:
+            get_tracer().remove_watcher(self._watcher)
         self._watcher = None
-        self._watched_ledger = None
 
     # ------------------------------------------------------------ export
 
@@ -245,18 +238,59 @@ class FlightRecorder:
         return lines
 
 
+_SAMPLE_FIELDS = {
+    "ts": NUMBER, "counters": dict, "gauges": dict, "histograms": dict,
+}
+_DUMP_FIELDS = {"reason": str, "ts": NUMBER, "samples": list}
+
+
+def _numbers(values: Any) -> bool:
+    return all(
+        isinstance(v, NUMBER) and not isinstance(v, bool) for v in values
+    )
+
+
+def _check_sample(record: Any) -> Optional[str]:
+    problem = check_fields(record, _SAMPLE_FIELDS)
+    if problem is not None:
+        return problem
+    if not _numbers(record["counters"].values()):
+        return "a counter is not a number"
+    if not _numbers(record["gauges"].values()):
+        return "a gauge is not a number"
+    for value in record["histograms"].values():
+        problem = check_fields(value, {"bounds": list, "counts": list})
+        if problem is not None:
+            return f"histogram: {problem}"
+        if not _numbers(value["bounds"] + value["counts"]):
+            return "a histogram bucket is not a number"
+    return None
+
+
+def _check_flight(record: Any) -> Optional[str]:
+    problem = check_fields(record, {}, {"kind": str})
+    if problem is not None:
+        return problem
+    if record.get("kind") != "dump":
+        return _check_sample(record)
+    problem = check_fields(record, _DUMP_FIELDS, {"fields": dict})
+    if problem is not None:
+        return problem
+    for sample in record["samples"]:
+        problem = _check_sample(sample)
+        if problem is not None:
+            return f"dump sample: {problem}"
+    return None
+
+
 def load_flight_jsonl(path: str) -> Dict[str, List[Dict[str, Any]]]:
     """Load a :meth:`FlightRecorder.export_jsonl` file back into
-    ``{"samples": [...], "dumps": [...]}``."""
+    ``{"samples": [...], "dumps": [...]}``; a record of the wrong shape
+    raises :class:`ValidationError` naming the file and line."""
     out: Dict[str, List[Dict[str, Any]]] = {"samples": [], "dumps": []}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.pop("kind", "sample")
-            out["dumps" if kind == "dump" else "samples"].append(record)
+    for record in read_jsonl(path, _check_flight):
+        kind = record.pop("kind", "sample")
+        out["dumps" if kind == "dump" else "samples"].append(record)
     return out
 
 

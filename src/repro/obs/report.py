@@ -72,7 +72,7 @@ def render_trace(
             extras = {
                 k: v
                 for k, v in event.items()
-                if k not in ("event", "trace_id", "ts", "seq")
+                if k not in ("event", "trace_id", "ts", "seq", "parent_id")
             }
             detail = "".join(
                 f" {k}={extras[k]}" for k in sorted(extras)

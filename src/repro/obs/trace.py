@@ -25,6 +25,13 @@ kernel opens a span named after it whenever the tracer is on and the
 calling thread has an active trace context, so kernel time shows up
 inside request traces and in the ``repro profile`` span tree.
 
+The tracer is the one record store of the observability plane: one
+lock and one bounded list hold span records and *event* records (the
+run ledger's "what happened" -- run started, fault injected, cache
+hit, shard down -- each with a wall time, attributes, and the trace
+and parent span it happened under).  Each kind has its own switch;
+:mod:`repro.obs.ledger` is the event-kind view.
+
 Exports: newline-delimited JSON (one span record per line, loadable by
 :func:`load_trace_jsonl`) and the Chrome ``trace_event`` format --
 write :meth:`Tracer.to_chrome` to a file and open it in
@@ -45,6 +52,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -53,6 +61,8 @@ from typing import (
     Tuple,
     Union,
 )
+
+from repro.core.errors import ValidationError
 
 #: Span-record keys that vary between two otherwise-identical runs
 #: (wall-clock timing); :func:`canonical_spans` strips them.
@@ -257,31 +267,48 @@ def canonical_spans(
 
 
 class _Frame:
-    """One thread-local activation: a context plus an optional sink
-    that captures finished spans instead of the global list.
+    """One thread-local activation: a context and/or a sink that
+    captures finished records instead of the tracer's store.
 
-    Sink-bearing frames (the worker envelope mechanism) also scope the
-    span-order counters to the activation: a replayed evaluation of the
-    same request starts counting from zero again, so its spans derive
-    the same deterministic ids as the first attempt -- which is what
-    lets a kill-and-replay trace collapse onto its fault-free twin in
+    A sink-only frame (no context) is a capture without a trace: its
+    records still land in the sink, while :meth:`Tracer.current` keeps
+    answering from the frames below it.  Frames that carry both (the
+    worker envelope mechanism) also scope the span-order counters to
+    the activation: a replayed evaluation of the same request starts
+    counting from zero again, so its spans derive the same
+    deterministic ids as the first attempt -- which is what lets a
+    kill-and-replay trace collapse onto its fault-free twin in
     :func:`canonical_spans`.
     """
 
     __slots__ = ("ctx", "sink", "orders")
 
     def __init__(
-        self, ctx: TraceContext, sink: Optional[List[Dict[str, Any]]]
+        self,
+        ctx: Optional[TraceContext],
+        sink: Optional[List[Dict[str, Any]]],
     ) -> None:
         self.ctx = ctx
         self.sink = sink
         self.orders: Optional[Dict[Tuple[str, str], int]] = (
-            {} if sink is not None else None
+            {} if sink is not None and ctx is not None else None
         )
 
 
+def is_event(record: Mapping[str, Any]) -> bool:
+    """Whether *record* is an event record (spans carry no
+    ``event`` key)."""
+    return "event" in record
+
+
 class Tracer:
-    """Process-wide span collector with explicit context propagation.
+    """Process-wide record store with explicit context propagation.
+
+    One lock and one bounded list (*max_spans* records) hold both
+    record kinds: span records and event records.  Each kind has its
+    own switch -- :attr:`enabled` for spans, :attr:`events_enabled`
+    for events -- because a run may audit its event story without
+    paying for spans.
 
     All span creation goes through the thread's activation stack: a
     frame is pushed either by :meth:`activate` (entering a propagated
@@ -294,16 +321,19 @@ class Tracer:
 
     def __init__(
         self, name: str = "repro", enabled: bool = False,
-        max_spans: int = 100_000,
+        max_spans: int = 300_000,
     ) -> None:
         self.name = name
         self.enabled = enabled
+        self.events_enabled = False
         self.max_spans = max_spans
         self.dropped = 0
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._spans: List[Dict[str, Any]] = []
+        self._records: List[Dict[str, Any]] = []
         self._orders: Dict[Tuple[str, str], int] = {}
+        self._seq = 0
+        self._watchers: Tuple[Callable[[Dict[str, Any]], Any], ...] = ()
 
     # ------------------------------------------------------------- control
 
@@ -314,10 +344,12 @@ class Tracer:
         self.enabled = False
 
     def reset(self) -> None:
-        """Drop collected spans and order counters (keeps enablement)."""
+        """Drop collected records, order counters and event sequence
+        numbers (keeps both switches)."""
         with self._lock:
-            self._spans = []
+            self._records = []
             self._orders = {}
+            self._seq = 0
             self.dropped = 0
 
     # ------------------------------------------------------- context stack
@@ -332,9 +364,11 @@ class Tracer:
     def current(self) -> Optional[TraceContext]:
         """The active context of this thread, or ``None``."""
         frames = getattr(self._local, "frames", None)
-        if not frames:
-            return None
-        return frames[-1].ctx
+        if frames:
+            for frame in reversed(frames):
+                if frame.ctx is not None:
+                    return frame.ctx
+        return None
 
     def current_trace_id(self) -> Optional[str]:
         ctx = self.current()
@@ -349,14 +383,16 @@ class Tracer:
     @contextmanager
     def activate(
         self,
-        ctx: TraceContext,
+        ctx: Optional[TraceContext],
         sink: Optional[List[Dict[str, Any]]] = None,
-    ) -> Iterator[TraceContext]:
+    ) -> Iterator[Optional[TraceContext]]:
         """Make *ctx* the thread's active context.
 
-        With a *sink*, spans finished inside the activation are captured
-        into it instead of the tracer's global list -- the envelope
-        mechanism workers use to ship spans back to the coordinator.
+        With a *sink*, span and event records filed inside the
+        activation are captured into it instead of the tracer's store
+        -- the envelope mechanism workers use to ship records back to
+        the coordinator.  A ``None`` *ctx* with a sink captures without
+        entering a trace.
         """
         frames = self._frames()
         frames.append(_Frame(ctx, sink))
@@ -510,38 +546,113 @@ class Tracer:
         self,
         record: Dict[str, Any],
         sink: Optional[List[Dict[str, Any]]] = None,
-    ) -> None:
+    ) -> bool:
+        """File *record* into *sink*, the active sink, or else the
+        store; whether it went to the store."""
         target = sink if sink is not None else self._current_sink()
-        if target is not None:
-            target.append(record)
-            return
+        if target is None:
+            self._store((record,))
+            return True
+        target.append(record)
+        return False
+
+    def _store(self, records: Iterable[Dict[str, Any]]) -> None:
+        """Append *records* to the bounded store, numbering events."""
         with self._lock:
-            if len(self._spans) >= self.max_spans:
-                self.dropped += 1
-                return
-            self._spans.append(record)
+            for record in records:
+                if len(self._records) >= self.max_spans:
+                    self.dropped += 1
+                    continue
+                if is_event(record):
+                    record["seq"] = self._seq
+                    self._seq += 1
+                self._records.append(record)
+
+    # -------------------------------------------------------------- events
+
+    def event(
+        self,
+        name: str,
+        *,
+        trace_id: Optional[str] = None,
+        **fields: Any,
+    ) -> Optional[Dict[str, Any]]:
+        """Record one event (one ``events_enabled`` read when off).
+
+        With no explicit *trace_id* the thread's active context (if
+        any) supplies the trace and the parent span, which is what keys
+        serve/exec/resilience events to the request they belong to
+        without every call site threading ids around.  An event filed
+        straight into the store -- not into a capture sink -- fires the
+        event watchers.
+        """
+        if not self.events_enabled:
+            return None
+        record: Dict[str, Any] = {"event": name, "trace_id": trace_id or ""}
+        if trace_id is None:
+            ctx = self.current()
+            if ctx is not None:
+                record["trace_id"] = ctx.trace_id
+                record["parent_id"] = ctx.span_id
+        record["ts"] = time.time()
+        record.update(fields)
+        if self._file(record) and self._watchers:
+            self._notify(record)
+        return record
+
+    def add_watcher(
+        self, watcher: Callable[[Dict[str, Any]], Any]
+    ) -> None:
+        """Call *watcher* (outside the store lock) with every event
+        filed straight into this process's store -- captured worker
+        events are absorbed in bulk and do not fire watchers.  This is
+        how the flight recorder dumps on ``shard.killed``/``shard.down``
+        without the hot path paying anything while none is registered."""
+        with self._lock:
+            if watcher not in self._watchers:
+                self._watchers += (watcher,)
+
+    def remove_watcher(
+        self, watcher: Callable[[Dict[str, Any]], Any]
+    ) -> None:
+        with self._lock:
+            self._watchers = tuple(
+                w for w in self._watchers if w != watcher
+            )
+
+    def _notify(self, record: Dict[str, Any]) -> None:
+        if getattr(self._local, "in_watcher", False):
+            return  # a watcher recording events must not recurse
+        self._local.in_watcher = True
+        try:
+            for watcher in self._watchers:
+                try:
+                    watcher(record)
+                except Exception:  # pragma: no cover - defensive
+                    continue
+        finally:
+            self._local.in_watcher = False
+
+    # ------------------------------------------------------------- merging
 
     def add_records(
         self, records: Sequence[Mapping[str, Any]]
     ) -> None:
-        """File span records shipped back from a worker -- into the
-        thread's active sink if any, so a coordinator that itself runs
-        under a capture forwards them outward."""
+        """File span and event records shipped back from a worker --
+        into the thread's active sink if any, so a coordinator that
+        itself runs under a capture forwards them outward."""
+        copies = [dict(record) for record in records]
         sink = self._current_sink()
         if sink is not None:
-            sink.extend(dict(record) for record in records)
-            return
-        with self._lock:
-            for record in records:
-                if len(self._spans) >= self.max_spans:
-                    self.dropped += 1
-                    continue
-                self._spans.append(dict(record))
+            sink.extend(copies)
+        else:
+            self._store(copies)
 
     def drain(self) -> List[Dict[str, Any]]:
-        """Take every filed span record out (order counters stay)."""
+        """Take every filed record out (order counters and event
+        sequence numbers keep counting)."""
         with self._lock:
-            records, self._spans = self._spans, []
+            records, self._records = self._records, []
         return records
 
     # ------------------------------------------------------------- reports
@@ -549,11 +660,23 @@ class Tracer:
     def spans(
         self, trace_id: Optional[str] = None
     ) -> List[Dict[str, Any]]:
+        return self._select(False, trace_id)
+
+    def events(
+        self, trace_id: Optional[str] = None
+    ) -> List[Dict[str, Any]]:
+        return self._select(True, trace_id)
+
+    def _select(
+        self, events: bool, trace_id: Optional[str]
+    ) -> List[Dict[str, Any]]:
+        """Copies of one kind's records (of one trace), filing order."""
         with self._lock:
-            records = [dict(r) for r in self._spans]
-        if trace_id is not None:
-            records = [r for r in records if r["trace_id"] == trace_id]
-        return records
+            return [
+                dict(r) for r in self._records
+                if is_event(r) == events
+                and (trace_id is None or r["trace_id"] == trace_id)
+            ]
 
     def trace_ids(self) -> List[str]:
         """Distinct trace ids in first-seen order."""
@@ -574,27 +697,93 @@ class Tracer:
 
     def export_jsonl(self, path: Union[str, Path]) -> int:
         """Write one span record per line; returns the span count."""
-        records = self.spans()
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        return len(records)
+        return write_jsonl(path, self.spans())
 
     def to_chrome(self) -> Dict[str, Any]:
         return chrome_trace(self.spans())
 
 
-def load_trace_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Load span records written by :meth:`Tracer.export_jsonl`."""
+#: JSON numbers (a ``bool`` is not one, though Python says it is an int).
+NUMBER = (int, float)
+
+
+def check_fields(
+    record: Any,
+    required: Mapping[str, Any],
+    optional: Optional[Mapping[str, Any]] = None,
+) -> Optional[str]:
+    """What is wrong with *record* as an object holding every key of
+    *required* and, where present, every key of *optional*, each of the
+    type (or tuple of types) it maps to -- or ``None`` if nothing."""
+    if not isinstance(record, dict):
+        return f"expected a JSON object, got {type(record).__name__}"
+    for key in required:
+        if key not in record:
+            return f"missing key {key!r}"
+    for fields in (required, optional or {}):
+        for key, kinds in fields.items():
+            if key not in record:
+                continue
+            value = record[key]
+            if not isinstance(value, kinds) or (
+                isinstance(value, bool) and kinds is NUMBER
+            ):
+                return f"key {key!r} has type {type(value).__name__}"
+    return None
+
+
+def read_jsonl(
+    path: Union[str, Path], check: Callable[[Any], Optional[str]]
+) -> List[Any]:
+    """Load one JSON record per line, vetting each with *check* (which
+    returns what is wrong, or ``None``).  A line that is not JSON, nests
+    too deep to parse, or fails *check* raises :class:`ValidationError`
+    naming the file and the line."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                problem: Optional[str] = f"not a JSON record ({exc})"
+            else:
+                problem = check(record)
+            if problem is not None:
+                raise ValidationError(f"{path}, line {lineno}: {problem}")
+            records.append(record)
     return records
+
+
+def write_jsonl(
+    path: Union[str, Path], records: Sequence[Mapping[str, Any]]
+) -> int:
+    """Write one record per line (sorted keys); returns the count."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return len(records)
+
+
+_SPAN_REQUIRED = {
+    "name": str, "trace_id": str, "span_id": str,
+    "start_s": NUMBER, "end_s": NUMBER,
+}
+_SPAN_OPTIONAL = {
+    "parent_id": str, "order": int, "duration_s": NUMBER,
+    "status": str, "attributes": dict, "volatile": dict,
+}
+
+
+def load_trace_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
+    """Load span records written by :meth:`Tracer.export_jsonl`."""
+    return read_jsonl(
+        path, lambda r: check_fields(r, _SPAN_REQUIRED, _SPAN_OPTIONAL)
+    )
 
 
 def chrome_trace(
@@ -700,18 +889,23 @@ def profiled(name: Optional[str] = None) -> Callable:
 
 
 __all__ = [
+    "NUMBER",
     "Span",
     "TraceContext",
     "TraceSlots",
     "Tracer",
     "VOLATILE_SPAN_FIELDS",
     "canonical_spans",
+    "check_fields",
     "chrome_trace",
     "derive_span_id",
     "derive_trace_id",
     "disable_tracing",
     "enable_tracing",
     "get_tracer",
+    "is_event",
     "load_trace_jsonl",
     "profiled",
+    "read_jsonl",
+    "write_jsonl",
 ]

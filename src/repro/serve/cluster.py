@@ -192,6 +192,13 @@ class _Entry:
         self.resolved = False
         self.trace: Optional[Any] = None  # the open cluster.request span
 
+    @property
+    def trace_id(self) -> Optional[str]:
+        """The request's trace id for its ``cluster.*`` events, which
+        are recorded on threads (completion callbacks, the supervisor)
+        that run under no trace context; ``None`` when untraced."""
+        return self.trace.trace_id if self.trace is not None else None
+
 
 class _ShardSlot:
     """One shard position: the current service incarnation plus the
@@ -553,6 +560,7 @@ class ShardCluster:
                 self._by_shard[shard_id].add(entry.rid)
             get_ledger().event(
                 "cluster.submit",
+                trace_id=entry.trace_id,
                 rid=entry.rid,
                 shard=shard_id,
                 digest=entry.digest,
@@ -606,6 +614,7 @@ class ShardCluster:
         if exc is not None:
             get_ledger().event(
                 "cluster.error",
+                trace_id=entry.trace_id,
                 rid=entry.rid,
                 shard=shard_id,
                 error_type=type(exc).__name__,
@@ -622,6 +631,7 @@ class ShardCluster:
             breaker.record_failure()
         get_ledger().event(
             "cluster.done",
+            trace_id=entry.trace_id,
             rid=entry.rid,
             shard=shard_id,
             status=result.status,
@@ -720,6 +730,7 @@ class ShardCluster:
                 self._by_shard.get(shard_id, set()).discard(rid)
             ledger.event(
                 "cluster.replay",
+                trace_id=entry.trace_id,
                 rid=rid,
                 from_shard=shard_id,
                 digest=entry.digest,

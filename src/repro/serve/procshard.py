@@ -22,7 +22,7 @@ once per pipe end, then ``recv()``:
   have waiting -- are in flight;
 - the child streams back ``done`` records (``RunResult`` wire form)
   and, when idle for ``heartbeat_s`` and at stop, one ``obs`` envelope
-  of its drained spans, ledger events and metrics (pillars on at spawn
+  of its drained record store (spans and events) and metrics (on at spawn
   as in the parent), which the parent absorbs tagged with the shard
   id.  :meth:`ProcessShard.snapshot` pulls the child's
   :class:`~repro.serve.metrics.ServiceMetrics` snapshot;
@@ -178,11 +178,9 @@ def _shard_worker_main(
     # children, and a ``parallel`` shard's evaluator forks a pool.  Its
     # workers exit on their own once this process is gone.
     multiprocessing.current_process().daemon = False
-    tracer, ledger, registry = get_tracer(), get_ledger(), get_metrics()
-    if tracing_on:
-        tracer.enable()
-    if ledger_on:
-        ledger.enable()
+    tracer, registry = get_tracer(), get_metrics()
+    tracer.enabled = tracing_on
+    tracer.events_enabled = ledger_on
     if metrics_on:
         registry.enable()
     service = EvaluationService(**spec)
@@ -200,8 +198,7 @@ def _shard_worker_main(
     def _flush() -> None:
         # Drained, so each record ships once and the stores stay small.
         envelope = {
-            "spans": tracer.drain() if tracer.enabled else [],
-            "events": ledger.drain() if ledger.enabled else [],
+            "events": tracer.drain(),
             "metrics": registry.drain() if registry.enabled else {},
         }
         if any(envelope.values()):
@@ -314,7 +311,7 @@ class ProcessShard:
                 incarnation,
                 child_conn,
                 self._spec,
-                get_ledger().enabled,
+                get_tracer().events_enabled,
                 get_tracer().enabled,
                 get_metrics().enabled,
                 heartbeat_s,

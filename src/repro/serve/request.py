@@ -142,8 +142,11 @@ def load_requests(text: str) -> List[EvalRequest]:
     --requests`` file format)."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"request file is not JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise ValidationError("request file must hold a JSON array")
-    return [EvalRequest.from_json(item) for item in payload]
+    try:
+        return [EvalRequest.from_json(item) for item in payload]
+    except RecursionError as exc:  # a config too deep to digest
+        raise ValidationError(f"request nests too deep: {exc}") from exc

@@ -523,7 +523,6 @@ class EvaluationService:
         task will evaluate under.  The wire names no ``metrics``: the
         envelope it yields is the record the cache keeps."""
         tracer = get_tracer()
-        ledger_on = get_ledger().enabled
         batch_spans: List[Any] = []
         wires: List[Optional[Dict[str, Any]]] = []
         batch_trace_ids: set = set()
@@ -559,7 +558,7 @@ class EvaluationService:
             )
             batch_spans.append(span)
             wire = span.context.to_wire()
-            wire["ledger"] = ledger_on
+            wire["ledger"] = tracer.events_enabled
             wires.append(wire)
         return batch_spans, wires, batch_trace_ids
 

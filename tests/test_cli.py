@@ -198,6 +198,26 @@ class TestCommandTree:
         assert excinfo.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--backend", "process"], ["--shards", "2"], ["--workload", "hls"],
+         ["--num-requests", "9"], ["--pool", "2"], ["--seed", "0"],
+         ["--rate", "5"]],
+        ids=" ".join,
+    )
+    def test_requests_file_rejects_the_flags_it_ignores(
+        self, flag, tmp_path, capsys
+    ):
+        path = str(tmp_path / "requests.json")
+        for argv in (["serve", "--requests", path] + flag,
+                     ["serve"] + flag + ["--requests", path]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "usage:" in err
+            assert f"cannot be combined with {flag[0]}" in err
+
     def test_help_lists_every_verb(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])

@@ -8,6 +8,7 @@ through the one shared percentile implementation in
 :mod:`repro.obs.stats`.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -265,11 +266,10 @@ class TestLedger:
 
     def test_capture_and_extend_round_trip(self):
         ledger = obs.enable_ledger()
-        buffer = []
-        with ledger.capture(buffer):
+        with obs.capture({"ledger": True}, "task") as captured:
             ledger.event("fault.injected", component="ssd")
         assert ledger.events() == []
-        ledger.extend(buffer)
+        obs.absorb(captured.envelope())
         (record,) = ledger.events()
         assert record["event"] == "fault.injected"
         assert record["component"] == "ssd"
@@ -277,12 +277,11 @@ class TestLedger:
 
     def test_extend_forwards_through_outer_capture(self):
         ledger = obs.enable_ledger()
-        outer, inner = [], []
-        with ledger.capture(inner):
+        with obs.capture({"ledger": True}, "inner") as inner:
             ledger.event("retry", attempt=1)
-        with ledger.capture(outer):
-            ledger.extend(inner)
-        assert [r["event"] for r in outer] == ["retry"]
+        with obs.capture({"ledger": True}, "outer") as outer:
+            obs.absorb(inner.envelope())
+        assert [r["event"] for r in outer.records] == ["retry"]
         assert ledger.events() == []
 
     def test_canonical_json_groups_and_strips_volatile(self):
@@ -524,6 +523,16 @@ def _serve_traced(workers, *, seeds=(0, 1, 2)):
     )
 
 
+#: SHA-256 of ``_serve_traced``'s canonical trace and canonical ledger,
+#: recorded with spans and events in separate stores (Python 3.11.7,
+#: numpy 2.4.6).  Keeping both record kinds in one store must not move
+#: a byte of either encoding.
+_PINNED_SERVE_DIGESTS = (
+    "a0321ea1e248e7ae29e7d17158a3cb9a9a8a50657b7c624ae4b0a165da7bb5ce",
+    "70078a8005bf3d87bdc65c6f0c79555cfe053fb17555acb04db63d9b5cb68d6a",
+)
+
+
 class TestServeTracing:
     def test_request_trace_has_the_full_hierarchy(self):
         requests, results, _, _, spans = _serve_traced(workers=1)
@@ -571,6 +580,14 @@ class TestServeTracing:
         assert [r.trace_id for r in first_results] == [
             r.trace_id for r in second_results
         ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_canonical_bytes_are_pinned(self, workers):
+        _, _, trace, ledger, _ = _serve_traced(workers=workers)
+        assert tuple(
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for text in (trace, ledger)
+        ) == _PINNED_SERVE_DIGESTS
 
     def test_duplicate_requests_share_evaluation_not_trace(self):
         _, results, _, _, spans = _serve_traced(workers=1, seeds=(5, 5))

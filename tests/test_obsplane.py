@@ -151,6 +151,30 @@ class TestTraceStitching:
         second, _ = _serve_cluster("process", count=3)
         assert first == second
 
+    @pytest.mark.parametrize("backend", ["inproc", "process"])
+    def test_cluster_events_carry_their_request_trace(self, backend):
+        # cluster.done/cluster.error are recorded in completion
+        # callbacks, where no trace context is active: the cluster
+        # must key them (and every other cluster.* event) to the
+        # request's own trace, not to the empty trace id.
+        _, spans = _serve_cluster(backend, count=4)
+        trace_of = {
+            s["attributes"]["digest"]: s["trace_id"]
+            for s in spans if s["name"] == "cluster.request"
+        }
+        events = [
+            e for e in get_ledger().events()
+            if e["event"].startswith("cluster.")
+        ]
+        digest_of = {
+            e["rid"]: e["digest"]
+            for e in events if e["event"] == "cluster.submit"
+        }
+        assert len(digest_of) == len(trace_of) == 4
+        assert sum(e["event"] == "cluster.done" for e in events) == 4
+        for event in events:
+            assert event["trace_id"] == trace_of[digest_of[event["rid"]]]
+
     def test_direct_service_submit_with_trace_ctx(self):
         obs.enable()
         tracer = get_tracer()
@@ -346,6 +370,33 @@ class TestRegistryAcrossProcesses:
             record["__obs__"] and "metrics" not in record
             for record in records
         )
+
+    def test_cached_record_with_separate_spans_still_replays(
+        self, tmp_path
+    ):
+        # Records cached before spans and events shared one list keep
+        # their spans under "spans"; a warm rerun must replay them.
+        def serve(cache):
+            get_tracer().reset()
+            service = EvaluationService(cache=ResultCache(path=cache))
+            try:
+                service.submit(WORKLOAD, {"rows": 16, "cols": 16}).result()
+            finally:
+                service.shutdown()
+            return get_tracer().canonical_json()
+
+        obs.enable()
+        cache = str(tmp_path / "cache.json")
+        fresh = serve(cache)
+        store = ResultCache(path=cache)
+        (key,) = list(store)
+        record = dict(store.peek(key))
+        record["spans"] = [r for r in record["events"] if "event" not in r]
+        record["events"] = [r for r in record["events"] if "event" in r]
+        store.put(key, record)
+        store.close()
+        assert serve(cache) == fresh
+        assert "worker" in [s["name"] for s in get_tracer().spans()]
 
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     def test_every_mode_counts_each_metric_once(self, mode):
@@ -907,3 +958,58 @@ class TestObsCli:
         ) == 1
         err = capsys.readouterr().err
         assert "no flight recording" in err
+
+
+# ------------------------------------------------- run artifacts as input
+
+#: Lines that parse as JSON but are not records.
+_BAD_LINES = ("3", "[1]", '{"a": 1}', '{"trace_id": 5}')
+#: Each recorded file with the ``repro obs`` verbs that read it.
+_READERS_OF = {
+    "trace.jsonl": ("show", "summary", "top", "critical-path", "export"),
+    "ledger.jsonl": ("show", "summary"),
+    "flight.jsonl": ("top", "slo"),
+}
+
+
+@pytest.fixture(scope="module")
+def _recording(tmp_path_factory):
+    """One ``repro serve --trace-dir`` recording, copied per case."""
+    from repro.cli import main
+
+    trace_dir = tmp_path_factory.mktemp("recording") / "obs"
+    assert main([
+        "serve", "--workload", WORKLOAD, "--num-requests", "4",
+        "--trace-dir", str(trace_dir),
+    ]) == 0
+    obs.disable()
+    return trace_dir
+
+
+@pytest.mark.parametrize("line", _BAD_LINES)
+@pytest.mark.parametrize(
+    "name,verb",
+    [(name, verb) for name, verbs in _READERS_OF.items() for verb in verbs],
+)
+def test_bad_artifact_line_is_one_error_line(
+    _recording, tmp_path, capsys, name, verb, line
+):
+    import shutil
+
+    from repro.cli import main
+
+    trace_dir = tmp_path / "obs"
+    shutil.copytree(_recording, trace_dir)
+    with open(trace_dir / name, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    tid = json.loads(
+        (_recording / "trace.jsonl").read_text().splitlines()[0]
+    )["trace_id"]
+    argv = ["obs", verb] + ([tid] if verb == "show" else [])
+    capsys.readouterr()
+    assert main(argv + ["--trace-dir", str(trace_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro obs {verb}: error: ")
+    assert f"{name}, line " in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err

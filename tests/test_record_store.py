@@ -322,3 +322,17 @@ def test_unreadable_store_recovers_empty(tmp_path, reader):
     store, events = _recovery_events(lambda: _READERS[reader](path))
     assert len(store) == 0
     assert [e["error_type"] for e in events] == ["IsADirectoryError"]
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_deeply_nested_line_is_damage_not_a_crash(tmp_path, reader):
+    path = tmp_path / "store.json"
+    with ResultCache(path=path) as cache:
+        cache.put("k0", {"status": "ok"})
+    deep = "[" * 100_000
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"k1": ' + deep + "\n")
+    store, events = _recovery_events(lambda: _READERS[reader](path))
+    assert list(store) == ["k0"]
+    assert store.recovered
+    assert [e["error_type"] for e in events] == ["RecursionError"]
